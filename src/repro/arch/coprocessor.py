@@ -159,6 +159,8 @@ class EccCoprocessor:
             self.config.clock_branch_mismatch,
             leaf_load=float(field.m),
         )
+        # Fetch cycles switch the same logic whatever the data.
+        self._fetch_datapath = [FETCH_ACTIVITY] * self.config.fetch_overhead
 
     # ------------------------------------------------------------------
     # public API
@@ -499,9 +501,15 @@ class EccCoprocessor:
 
     def _exec(self, opcode: Opcode, rd: int, ra: int = -1, rb: int = -1,
               immediate: Optional[int] = None) -> None:
-        """Execute one instruction, appending its per-cycle activity."""
+        """Execute one instruction, appending its per-cycle activity.
+
+        The instruction is emitted as one block per channel: the
+        data-independent fetch cycles, then one cycle per datapath
+        step.  The register write lands on the last cycle, the pending
+        mux-select transition on the first.
+        """
         regs = self.registers
-        start_cycle = self._cycle
+        config = self.config
         if opcode is Opcode.MUL:
             result, activity = self.malu.multiply(regs.read(ra), regs.read(rb))
         elif opcode is Opcode.SQR:
@@ -510,53 +518,49 @@ class EccCoprocessor:
             result, activity = self.malu.add(regs.read(ra), regs.read(rb))
         elif opcode is Opcode.MOV:
             result = regs.read(ra)
-            activity = [bin(result).count("1")]
+            activity = [result.bit_count()]
         elif opcode is Opcode.LDI:
             if immediate is None:
                 raise ValueError("LDI requires an immediate")
             result = immediate
-            activity = [bin(result).count("1")]
+            activity = [result.bit_count()]
         else:  # pragma: no cover - enum is closed
             raise ValueError(f"unknown opcode {opcode}")
 
-        for _ in range(self.config.fetch_overhead):
-            self._emit_cycle(FETCH_ACTIVITY, 0.0, [])
-        last = len(activity) - 1
-        for i, toggles in enumerate(activity):
-            datapath = float(toggles)
-            register_hd = 0.0
-            written = []
-            if i == last:
-                event = regs.write(rd, result, self._cycle)
-                register_hd = float(event.hamming_distance)
-                written = [rd]
-                if not self.config.input_isolation:
-                    # Register update ripples into the datapath inputs.
-                    datapath += ISOLATION_LEAK_WEIGHT * register_hd
-            if self.config.glitch_factor:
-                # Glitches add toggles superlinearly in the activity.
-                datapath += (
-                    self.config.glitch_factor * datapath * datapath
-                    / self.domain.field.m
-                )
-            self._emit_cycle(datapath, register_hd, written)
-        self._trace.instructions.append(
+        start_cycle = self._cycle
+        cycles = config.fetch_overhead + len(activity)
+        self._cycle = start_cycle + cycles
+        event = regs.write(rd, result, self._cycle - 1)
+        register_hd = float(event.hamming_distance)
+        datapath = [float(toggles) for toggles in activity]
+        if not config.input_isolation:
+            # Register update ripples into the datapath inputs.
+            datapath[-1] += ISOLATION_LEAK_WEIGHT * register_hd
+        glitch = config.glitch_factor
+        if glitch:
+            # Glitches add toggles superlinearly in the activity.
+            m = self.domain.field.m
+            datapath = [x + glitch * x * x / m for x in datapath]
+
+        trace = self._trace
+        trace.datapath.extend(self._fetch_datapath + datapath)
+        register = [0.0] * cycles
+        register[-1] = register_hd
+        trace.register.extend(register)
+        control = [0.0] * cycles
+        control[0] = self._pending_control
+        self._pending_control = 0.0
+        trace.control.extend(control)
+        clock = [self.clock_tree.cycle_contribution([])] * cycles
+        clock[-1] = self.clock_tree.cycle_contribution([rd])
+        trace.clock.extend(clock)
+        trace.instructions.append(
             Instruction(
                 opcode=opcode,
                 rd=rd,
                 ra=ra,
                 rb=rb,
-                cycles=self.config.fetch_overhead + len(activity),
+                cycles=cycles,
                 start_cycle=start_cycle,
             )
         )
-
-    def _emit_cycle(self, datapath: float, register_hd: float,
-                    written: list) -> None:
-        trace = self._trace
-        trace.datapath.append(datapath)
-        trace.register.append(register_hd)
-        trace.control.append(self._pending_control)
-        self._pending_control = 0.0
-        trace.clock.append(self.clock_tree.cycle_contribution(written))
-        self._cycle += 1

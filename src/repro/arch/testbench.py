@@ -108,7 +108,7 @@ class EquivalenceTestbench:
             self.report.saw_min_scalar = True
         if k == order - 1:
             self.report.saw_max_scalar = True
-        weight = bin(k).count("1")
+        weight = k.bit_count()
         if weight >= (order.bit_length() * 2) // 3:
             self.report.saw_dense_key = True
         if 0 < weight <= 4:

@@ -38,10 +38,6 @@ def _rotl(value: int, amount: int) -> int:
     return ((value << amount) | (value >> (32 - amount))) & _MASK
 
 
-def _popcount(value: int) -> int:
-    return bin(value).count("1")
-
-
 class Sha1Engine:
     """Metered SHA-1: hash bytes, get the digest and the engine bill."""
 
@@ -50,14 +46,14 @@ class Sha1Engine:
 
     def _compress(self, h: list, block: bytes) -> Tuple[list, float]:
         w = list(struct.unpack(">16I", block))
-        consumed = float(sum(_popcount(word) for word in w))  # load
+        consumed = float(sum(word.bit_count() for word in w))  # load
         a, b, c, d, e = h
         for t in range(80):
             if t >= 16:
                 scheduled = _rotl(w[t - 3] ^ w[t - 8] ^ w[t - 14]
                                   ^ w[t - 16], 1)
                 # 16-word window shifts: w[t-16] leaves, scheduled enters
-                consumed += _popcount(w[t - 16] ^ scheduled)
+                consumed += (w[t - 16] ^ scheduled).bit_count()
                 w.append(scheduled)
             if t < 20:
                 f = (b & c) | (~b & d)
@@ -73,12 +69,12 @@ class Sha1Engine:
                 k = 0xCA62C1D6
             temp = (_rotl(a, 5) + f + e + k + w[t]) & _MASK
             ne, nd, nc, nb, na = d, c, _rotl(b, 30), a, temp
-            consumed += (_popcount(a ^ na) + _popcount(b ^ nb)
-                         + _popcount(c ^ nc) + _popcount(d ^ nd)
-                         + _popcount(e ^ ne))
+            consumed += ((a ^ na).bit_count() + (b ^ nb).bit_count()
+                         + (c ^ nc).bit_count() + (d ^ nd).bit_count()
+                         + (e ^ ne).bit_count())
             a, b, c, d, e = na, nb, nc, nd, ne
         out = [(x + y) & _MASK for x, y in zip(h, (a, b, c, d, e))]
-        consumed += sum(_popcount(x ^ y) for x, y in zip(h, out))
+        consumed += sum((x ^ y).bit_count() for x, y in zip(h, out))
         return out, consumed
 
     def hash(self, message: bytes) -> Tuple[bytes, EngineTrace]:

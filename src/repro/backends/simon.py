@@ -64,10 +64,6 @@ def _z_bit(j: int) -> int:
     return (_Z0 >> (j % 62)) & 1
 
 
-def _popcount(value: int) -> int:
-    return bin(value).count("1")
-
-
 def _load_key(key: bytes) -> List[int]:
     """Round keys k[0..3] from the 8-byte key (k[3] printed first in
     the spec's test vectors, k[0] used in round 0)."""
@@ -93,7 +89,7 @@ def _expand_key(key: bytes) -> Tuple[List[int], float]:
         new = (~k[i - 4] & _MASK) ^ tmp ^ _z_bit(i - 4) ^ 3
         k.append(new)
         # window (k[i-4..i-1]) -> (k[i-3..i]): k[i-4] leaves, new enters
-        consumed += _popcount(k[i - 4] ^ new)
+        consumed += (k[i - 4] ^ new).bit_count()
     return k, consumed
 
 
@@ -125,7 +121,7 @@ class Simon32Engine:
         for i in range(ROUNDS):
             nx = (y ^ (_rol(x, 1) & _rol(x, 8)) ^ _rol(x, 2)
                   ^ self._round_keys[i])
-            consumed += _popcount(x ^ nx) + _popcount(y ^ x)
+            consumed += (x ^ nx).bit_count() + (y ^ x).bit_count()
             x, y = nx, x
         data = x.to_bytes(2, "big") + y.to_bytes(2, "big")
         return data, EngineTrace(ROUNDS + _IO_CYCLES, float(consumed))
@@ -136,7 +132,7 @@ class Simon32Engine:
         for i in reversed(range(ROUNDS)):
             ny = (x ^ (_rol(y, 1) & _rol(y, 8)) ^ _rol(y, 2)
                   ^ self._round_keys[i])
-            consumed += _popcount(y ^ ny) + _popcount(x ^ y)
+            consumed += (y ^ ny).bit_count() + (x ^ y).bit_count()
             x, y = y, ny
         data = x.to_bytes(2, "big") + y.to_bytes(2, "big")
         return data, EngineTrace(ROUNDS + _IO_CYCLES, float(consumed))

@@ -114,9 +114,7 @@ class DigitSerialMultiplier:
     def _multiply(self, a: int, b: int) -> tuple[int, MultiplicationTrace]:
         f = self.field
         d = self.digit_size
-        mask = (1 << f.m) - 1
         digit_mask = (1 << d) - 1
-        trace = MultiplicationTrace(digit_size=d)
         # For small digits, precompute the 2^d partial products
         # a * digit; for wide digits fall back to a carry-less multiply
         # per cycle (the hardware analogue is a d-bit row of partial
@@ -133,18 +131,27 @@ class DigitSerialMultiplier:
         # glitching grows with depth.  Per-cycle toggles ~ HW(a) * d/2,
         # scaled by the tree-depth glitch factor.
         glitch_factor = 1.0 + 0.3 * math.log2(d) if d > 1 else 1.0
-        per_cycle_array = bin(a).count("1") * d / 2.0 * glitch_factor
+        per_cycle_array = a.bit_count() * d / 2.0 * glitch_factor
+        reduce = f.reduce
+        states = []
+        distances = []
         acc = 0
         for digit_index in range(self.num_digits - 1, -1, -1):
             digit = (b >> (digit_index * d)) & digit_mask
-            shifted = f.reduce(acc << d)
             partial = partials[digit] if partials is not None else clmul(a, digit)
-            new_acc = f.reduce(shifted ^ partial)
-            toggles = bin((acc ^ new_acc) & mask).count("1")
+            # One fold per cycle: reduce is linear and canonical, so
+            # reducing the shifted accumulator and the sum together
+            # gives the same state as reducing them one after another.
+            new_acc = reduce((acc << d) ^ partial)
+            distances.append((acc ^ new_acc).bit_count())
+            states.append(new_acc)
             acc = new_acc
-            trace.accumulator_states.append(acc)
-            trace.hamming_distances.append(toggles)
-            trace.array_activity.append(per_cycle_array)
+        trace = MultiplicationTrace(
+            digit_size=d,
+            accumulator_states=states,
+            hamming_distances=distances,
+            array_activity=[per_cycle_array] * self.num_digits,
+        )
         return acc, trace
 
     def __repr__(self) -> str:

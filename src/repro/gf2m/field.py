@@ -68,8 +68,10 @@ class BinaryField:
         self.modulus = modulus
         self._mask = (1 << m) - 1
         # Tail of the modulus: modulus = x^m + tail, deg(tail) < m.
-        # Reduction folds the high part against the tail.
-        self._tail = modulus ^ (1 << m)
+        # Reduction folds the high part against the tail, one shift-XOR
+        # per set bit of the tail (4 for the NIST pentanomials).
+        tail = modulus ^ (1 << m)
+        self._tail_exponents = tuple(i for i in range(m) if (tail >> i) & 1)
 
     # ------------------------------------------------------------------
     # element construction
@@ -107,15 +109,19 @@ class BinaryField:
 
         Uses tail-folding: while ``value`` has degree >= m, split it as
         ``low + x^m * high`` and replace ``x^m * high`` by
-        ``tail * high``.  Each fold strictly lowers the degree, and for
-        the sparse NIST polynomials it converges in two folds.
+        ``tail * high``, computed as one shift-XOR of ``high`` per tail
+        term.  Each fold strictly lowers the degree, and for the sparse
+        NIST polynomials a product of two field elements converges in
+        two folds.
         """
-        tail = self._tail
         mask = self._mask
         m = self.m
+        exponents = self._tail_exponents
         while value >> m:
             high = value >> m
-            value = (value & mask) ^ clmul(high, tail)
+            value &= mask
+            for e in exponents:
+                value ^= high << e
         return value
 
     def add_raw(self, a: int, b: int) -> int:

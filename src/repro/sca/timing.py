@@ -72,7 +72,7 @@ def coprocessor_timing_report(
     for k in keys:
         trace = coprocessor.point_multiply(k, generator, initial_z=1)
         cycles.append(trace.cycles)
-        weights.append(bin(k).count("1"))
+        weights.append(k.bit_count())
     return TimingReport(tuple(cycles), tuple(weights))
 
 

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from repro.gf2m import BinaryField, DigitSerialMultiplier, reduction_polynomial
 
 K163 = BinaryField(163, reduction_polynomial(163))
+# x^31 + a 30-term tail of degree 30: the worst case for a per-term fold.
+DENSE31 = BinaryField(31, 0xFFFFFFF7)
 big_values = st.integers(min_value=0, max_value=(1 << 163) - 1)
 
 
@@ -49,6 +51,29 @@ class TestFunctionalCorrectness:
             product, trace = mult.multiply(a, b)
             assert product == K163.mul_raw(a, b)
             assert trace.cycles == mult.cycles_per_multiplication
+
+    @pytest.mark.parametrize("field", [K163, DENSE31], ids=["K-163", "dense-31"])
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_every_digit_size_matches_mul_raw(self, field, d):
+        mult = DigitSerialMultiplier(field, d)
+        rng = random.Random(d)
+        for _ in range(8):
+            a = rng.getrandbits(field.m)
+            b = rng.getrandbits(field.m)
+            product, trace = mult.multiply(a, b)
+            assert product == field.mul_raw(a, b)
+            # MSD-first Horner: after cycle j the accumulator holds
+            # a times the leading j + 1 digits of b.
+            last = mult.num_digits - 1
+            assert trace.accumulator_states == [
+                field.mul_raw(a, b >> (d * (last - j)))
+                for j in range(mult.num_digits)
+            ]
+            states = [0] + trace.accumulator_states
+            assert trace.hamming_distances == [
+                (before ^ after).bit_count()
+                for before, after in zip(states, states[1:])
+            ]
 
     def test_small_field(self):
         f8 = BinaryField(3, 0b1011)

@@ -6,10 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ec.curves import CURVE_REGISTRY
 from repro.gf2m import BinaryField, reduction_polynomial
+from repro.gf2m.polynomial import poly_mod
 
 F8 = BinaryField(3, 0b1011)  # GF(8), small enough to exhaust
 K163 = BinaryField(163, reduction_polynomial(163))
+# x^31 + a 30-term tail of degree 30: the worst case for a per-term fold.
+DENSE31 = BinaryField(31, 0xFFFFFFF7)
+REDUCTION_FIELDS = {
+    **{name: curve.field for name, curve in CURVE_REGISTRY.items()},
+    "dense-31": DENSE31,
+}
 
 small_values = st.integers(min_value=0, max_value=7)
 big_values = st.integers(min_value=0, max_value=(1 << 163) - 1)
@@ -59,9 +67,18 @@ class TestReduction:
     @given(st.integers(min_value=0, max_value=(1 << 400) - 1))
     @settings(max_examples=50)
     def test_reduce_matches_poly_mod_k163(self, v):
-        from repro.gf2m.polynomial import poly_mod
-
         assert K163.reduce(v) == poly_mod(v, K163.modulus)
+
+    @pytest.mark.parametrize("name", sorted(REDUCTION_FIELDS))
+    def test_reduce_matches_poly_mod_up_to_degree_2m_minus_2(self, name):
+        # A product of two field elements has degree <= 2m - 2.
+        field = REDUCTION_FIELDS[name]
+        width = 2 * field.m - 1
+        rng = random.Random(name)
+        values = [0, 1, field.modulus, (1 << width) - 1, 1 << (width - 1)]
+        values += [rng.getrandbits(width) for _ in range(200)]
+        for v in values:
+            assert field.reduce(v) == poly_mod(v, field.modulus)
 
 
 class TestFieldAxiomsExhaustiveGF8:
