@@ -39,7 +39,6 @@ from .soak import (
     AttackReport,
     AttackSpec,
     SUMMARY_NAME,
-    run_attack_cohort,
     run_attack_soak,
     simulate_attack_cohort,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "WakeUpRadio",
     "defense_config",
     "make_attack_policy",
-    "run_attack_cohort",
     "run_attack_session",
     "run_attack_soak",
     "run_fieldcut_attack",

@@ -1,54 +1,40 @@
 """Supervised attack soaks: floods of adversarial sessions, one tag.
 
-Structured exactly like :mod:`repro.server.soak` — the unit of
-parallelism is a **cohort**, here one *tag* living through a block of
-consecutive sessions on its own virtual timeline.  That framing is
-load-bearing: the defenses only mean something across sessions (a
-per-window energy budget caps the *flood*, not one handshake), so the
-tag's :class:`~.defense.EnergyBudget` and
+The unit of parallelism is a **cohort**, here one *tag* living through
+a block of consecutive sessions on its own virtual timeline.  That
+framing is load-bearing: the defenses only mean something across
+sessions (a per-window energy budget caps the *flood*, not one
+handshake), so the tag's :class:`~.defense.EnergyBudget` and
 :class:`~.defense.WakeUpRadio` persist across every session of a
-cohort, and sessions run back-to-back at seeded arrival times.  Cohort
-results are pure functions of ``(spec, cohort_index)``; workers never
-share a tag; the summary is assembled in cohort order — worker count
-and chaos-kill history are invisible in the bytes.
-
-Supervision is the campaign layer's
-:class:`~repro.campaign.supervisor.ShardSupervisor`, reused verbatim:
-a chaos-killed worker retries from scratch and determinism makes the
-retry byte-identical; a cohort that keeps dying is quarantined and the
-soak reports ``degraded`` instead of hanging.
+cohort, and sessions run back-to-back at seeded arrival times.
+Supervision, chaos, the ordered merge, telemetry and the summary are
+the shared cohort-soak driver's (:mod:`repro.campaign.cohort`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-import math
-import os
-import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, List, Optional
 
-from ..campaign.chaos import (CHAOS_CRASH_EXIT_CODE, ChaosConfig,
-                              ChaosInjectedError)
-from ..campaign.store import _atomic_write_bytes, file_digest
+from ..campaign.chaos import ChaosConfig
+from ..campaign.cohort import (SUMMARY_NAME, arrival_gap,
+                               chaos_kill_point, run_cohort_soak)
 from ..channel import LossProfile, derive_channel_seed
-from ..obs import runtime as _obs_runtime
-from ..obs.alerts import ALERTS_NAME, default_rulebook, write_alert_log
+from ..obs.alerts import default_rulebook
 from ..obs.metrics import MetricRegistry, strip_wall_metrics
-from ..obs.stream import (TELEMETRY_NAME, make_event, run_pipeline,
-                          spread_drain_events, write_telemetry)
+from ..obs.stream import make_event, spread_drain_events
 from ..protocols.session import RetransmissionPolicy
 from .defense import (DEFENSE_SETS, DefenseConfig, WakeUpRadio,
                       defense_config)
-from .engine import (ADVERSARY_NAMES, SESSION_KINDS, run_attack_session)
+from .engine import ADVERSARY_NAMES, run_attack_session
 from .errors import AdversaryError
 
 __all__ = ["AttackSpec", "AttackReport", "run_attack_soak",
-           "run_attack_cohort", "simulate_attack_cohort",
-           "SUMMARY_NAME", "ATTACK_OUTCOMES"]
+           "simulate_attack_cohort", "SUMMARY_NAME", "ATTACK_OUTCOMES"]
 
-SUMMARY_NAME = "summary.json"
 _SCHEMA_VERSION = 1
 
 #: Every way an attack-lab session can end.  The summary enumerates
@@ -98,21 +84,7 @@ class AttackSpec:
         self.defense_config()  # validate the defense knobs eagerly
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "adversary": self.adversary,
-            "defense": self.defense,
-            "sessions": self.sessions,
-            "cohorts": self.cohorts,
-            "legit_fraction": self.legit_fraction,
-            "arrival_rate": self.arrival_rate,
-            "frame_loss": self.frame_loss,
-            "seed": self.seed,
-            "curve": self.curve,
-            "distance_m": self.distance_m,
-            "budget_cap_uj": self.budget_cap_uj,
-            "budget_window_s": self.budget_window_s,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "AttackSpec":
@@ -149,21 +121,10 @@ class AttackSpec:
                                    index, 0, 0)
         return ADVERSARY_NAMES[pick % len(ADVERSARY_NAMES)]
 
-    @staticmethod
-    def cohort_filename(cohort_index: int) -> str:
-        return f"cohort-{cohort_index:05d}.json"
-
 
 # ----------------------------------------------------------------------
 # one cohort = one tag under one flood
 # ----------------------------------------------------------------------
-
-def _arrival_gap(seed: int, index: int, rate: float) -> float:
-    """Deterministic exponential-ish inter-arrival gap."""
-    unit = derive_channel_seed(seed, "adversary/arrival", index, 0, 0) \
-        / 2.0 ** 64
-    return -math.log(max(unit, 1e-12)) / rate
-
 
 def simulate_attack_cohort(spec: AttackSpec, cohort_index: int, *,
                            crash_after: Optional[int] = None,
@@ -191,8 +152,8 @@ def simulate_attack_cohort(spec: AttackSpec, cohort_index: int, *,
     for i in range(spec.sessions):
         index = base + i
         if i:
-            arrival += _arrival_gap(spec.seed, index,
-                                    spec.arrival_rate)
+            arrival += arrival_gap(spec.seed, index, spec.arrival_rate,
+                                   "adversary/arrival")
         start = max(clock, arrival)
         result = run_attack_session(
             spec.session_kind(index), defense,
@@ -203,21 +164,8 @@ def simulate_attack_cohort(spec: AttackSpec, cohort_index: int, *,
             registry=registry)
         clock = start + result.elapsed_s
         results.append(result)
-        if crash_after is not None and len(results) >= crash_after:
-            # Die the way a killed worker does: torn temp file,
-            # no result, the tag abandoned mid-flood.  The flight
-            # recorder dumps first — the black box is the only
-            # telemetry that survives the kill.
-            _obs_runtime.flight_dump(
-                "chaos-kill", cohort=cohort_index,
-                sessions_completed=len(results))
-            if crash_tmp_path is not None:
-                try:
-                    with open(crash_tmp_path, "wb") as f:
-                        f.write(b"chaos: torn attack write\x00" * 4)
-                except OSError:
-                    pass
-            os._exit(CHAOS_CRASH_EXIT_CODE)
+        chaos_kill_point(len(results), crash_after, crash_tmp_path,
+                         cohort_index)
 
     by_outcome: Dict[str, int] = {k: 0 for k in ATTACK_OUTCOMES}
     by_kind: Dict[str, int] = {}
@@ -284,58 +232,6 @@ def simulate_attack_cohort(spec: AttackSpec, cohort_index: int, *,
         "elapsed_virtual_s": round(clock, 6),
         "telemetry": telemetry,
         "metrics": strip_wall_metrics(registry.snapshot()),
-    }
-
-
-def run_attack_cohort(spec_dict: dict, directory: str,
-                      cohort_index: int, attempt: int,
-                      chaos_dict: Optional[dict]) -> dict:
-    """The supervised worker task: simulate, write, report."""
-    spec = AttackSpec.from_dict(spec_dict)
-    chaos = None if chaos_dict is None \
-        else ChaosConfig.from_dict(chaos_dict)
-    crash_after = None
-    if chaos is not None:
-        fault = chaos.execution_fault(cohort_index, attempt)
-        if fault == "crash":
-            crash_after = max(1, spec.sessions // 2)
-        elif fault == "hang":
-            time.sleep(chaos.hang_seconds)
-        elif fault == "error":
-            raise ChaosInjectedError(
-                f"injected attack-soak failure (cohort {cohort_index}, "
-                f"attempt {attempt})"
-            )
-        elif fault == "slow":
-            time.sleep(chaos.slow_seconds)
-
-    crash_tmp = os.path.join(
-        directory, spec.cohort_filename(cohort_index) + ".tmp")
-    with _obs_runtime.shard_scope(cohort_index) as rt:
-        payload = simulate_attack_cohort(spec, cohort_index,
-                                         crash_after=crash_after,
-                                         crash_tmp_path=crash_tmp)
-        if rt is not None:
-            rt.registry.merge_snapshot(payload["metrics"])
-
-    name = spec.cohort_filename(cohort_index)
-    path = os.path.join(directory, name)
-    _atomic_write_bytes(
-        path, json.dumps(payload, indent=1, sort_keys=True).encode())
-    digest = file_digest(path)
-
-    if chaos is not None and chaos.corrupts(cohort_index, attempt):
-        with open(path, "r+b") as f:
-            f.seek(16)
-            byte = f.read(1) or b"\x00"
-            f.seek(16)
-            f.write(bytes([byte[0] ^ 0xFF]))
-
-    return {
-        "shard": cohort_index,
-        "file": name,
-        "sha256": digest,
-        "artifacts": [(name, digest)],
     }
 
 
@@ -433,67 +329,11 @@ class AttackReport:
         return "\n".join(lines)
 
 
-def run_attack_soak(directory: str, spec: AttackSpec, *,
-                    workers: Optional[int] = None,
-                    chaos: Optional[ChaosConfig] = None,
-                    policy=None,
-                    on_event=None) -> AttackReport:
-    """Drive every cohort under supervision; write ``summary.json``.
-
-    The summary is a pure function of the spec — cohort aggregates in
-    cohort order, metric snapshots merged in cohort order, wall-clock
-    families stripped — so ``cmp`` across worker counts (and across
-    chaos-kill histories) matches byte for byte.
-    """
-    from ..campaign.acquire import default_workers
-    from ..campaign.supervisor import ShardSupervisor
-
-    started = time.monotonic()
-    os.makedirs(directory, exist_ok=True)
-    for name in os.listdir(directory):
-        if name.endswith(".tmp"):
-            try:
-                os.unlink(os.path.join(directory, name))
-            except OSError:
-                pass
-
-    records: Dict[int, dict] = {}
-    supervisor = ShardSupervisor(
-        spec, directory,
-        workers=default_workers(workers),
-        policy=policy,
-        chaos=chaos,
-        task=run_attack_cohort,
-        on_success=lambda record, attempt: records.__setitem__(
-            record["shard"], record),
-        on_event=on_event,
-    )
-    outcome = supervisor.run(list(range(spec.cohorts)))
-    quarantined = sorted(outcome.quarantined)
-
-    merged = MetricRegistry()
-    cohort_summaries = []
-    telemetry_events = []
-    report = AttackReport(
-        outcome="degraded" if quarantined else "clean",
-        spec_digest=spec.digest(),
-        directory=str(directory),
-        adversary=spec.adversary,
-        defense=spec.defense,
-        cohorts_total=spec.cohorts,
-        cohorts_completed=len(records),
-        quarantined=quarantined,
-        retried_attempts=outcome.retried_attempts,
-        outcomes={k: 0 for k in ATTACK_OUTCOMES},
-    )
-    for index in sorted(records):
-        path = os.path.join(directory, records[index]["file"])
-        with open(path, "r", encoding="utf-8") as f:
-            payload = json.load(f)
-        merged.merge_snapshot(payload["metrics"])
-        telemetry_events.extend(payload.get("telemetry", ()))
-        cohort_summaries.append({k: v for k, v in payload.items()
-                                 if k not in ("metrics", "telemetry")})
+def _fold(spec: AttackSpec, common: dict, cohorts: List[dict]):
+    report = AttackReport(adversary=spec.adversary, defense=spec.defense,
+                          outcomes={k: 0 for k in ATTACK_OUTCOMES},
+                          **common)
+    for payload in cohorts:
         report.sessions += payload["sessions"]
         for key in ATTACK_OUTCOMES:
             report.outcomes[key] += payload["outcomes"].get(key, 0)
@@ -511,61 +351,32 @@ def run_attack_soak(directory: str, spec: AttackSpec, *,
     report.amplification = round(
         report.tag_energy_uj / report.adversary_energy_uj, 6) \
         if report.adversary_energy_uj > 0 else 0.0
-
-    # Live telemetry: fold every cohort's ordered event stream through
-    # the aggregator + default rulebook.  Events are pure functions of
-    # (spec, cohort) and the fold order is total, so telemetry.json
-    # and alerts.json are byte-identical across worker counts too.
-    rules = attack_rulebook(spec)
-    live, alert_records = run_pipeline(telemetry_events, rules,
-                                       window_s=rules[0].window_s)
-    write_telemetry(os.path.join(directory, TELEMETRY_NAME), live)
-    alert_log = write_alert_log(
-        os.path.join(directory, ALERTS_NAME), rules, alert_records)
-    session_uj = live["series"].get("session_uj", {})
-    report.alert_firings = alert_log["firings"]
-    report.session_uj_p99 = session_uj.get("p99")
-
-    summary = {
-        "schema_version": _SCHEMA_VERSION,
-        "spec": spec.identity_dict(),
-        "spec_digest": spec.digest(),
-        "outcome": report.outcome,
-        "quarantined": quarantined,
-        "cohorts": cohort_summaries,
-        "totals": {
-            "sessions": report.sessions,
-            "outcomes": {k: report.outcomes[k]
-                         for k in sorted(report.outcomes)},
-            "legit_sessions": report.legit_sessions,
-            "legit_accepted": report.legit_accepted,
-            "wake_refusals": report.wake_refusals,
-            "budget_refusals": report.budget_refusals,
-            "tag_energy_uj": report.tag_energy_uj,
-            "adversary_energy_uj": report.adversary_energy_uj,
-            "amplification": report.amplification,
-            "peak_window_uj": round(report.peak_window_uj, 6),
-        },
-        "telemetry": {
-            "events": live["events"],
-            "session_uj": {key: session_uj.get(key)
-                           for key in ("count", "p50", "p95", "p99",
-                                       "max")},
-            "alerts": {
-                "firings": alert_log["firings"],
-                "by_rule": alert_log["firings_by_rule"],
-            },
-        },
-        "metrics": strip_wall_metrics(merged.snapshot()),
+    return report, {
+        "sessions": report.sessions,
+        "outcomes": {k: report.outcomes[k]
+                     for k in sorted(report.outcomes)},
+        "legit_sessions": report.legit_sessions,
+        "legit_accepted": report.legit_accepted,
+        "wake_refusals": report.wake_refusals,
+        "budget_refusals": report.budget_refusals,
+        "tag_energy_uj": report.tag_energy_uj,
+        "adversary_energy_uj": report.adversary_energy_uj,
+        "amplification": report.amplification,
+        "peak_window_uj": round(report.peak_window_uj, 6),
     }
-    summary_path = os.path.join(directory, SUMMARY_NAME)
-    _atomic_write_bytes(
-        summary_path,
-        json.dumps(summary, indent=1, sort_keys=True).encode())
-    report.summary_path = summary_path
-    report.wall_s = time.monotonic() - started
 
-    rt = _obs_runtime.current()
-    if rt is not None:
-        _obs_runtime.merge_shard_metrics(rt, sorted(records))
-    return report
+
+def run_attack_soak(directory: str, spec: AttackSpec, *,
+                    workers: Optional[int] = None,
+                    chaos: Optional[ChaosConfig] = None,
+                    policy=None,
+                    on_event=None) -> AttackReport:
+    """Drive every cohort under supervision; write ``summary.json``
+    (plus ``telemetry.json`` and ``alerts.json``), byte-identical across
+    worker counts and chaos-kill histories: see
+    :func:`repro.campaign.cohort.run_cohort_soak`.
+    """
+    return run_cohort_soak(directory, spec,
+                           simulate=simulate_attack_cohort, fold=_fold,
+                           rulebook=attack_rulebook, workers=workers,
+                           chaos=chaos, policy=policy, on_event=on_event)

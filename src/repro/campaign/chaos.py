@@ -28,6 +28,7 @@ from typing import Optional
 from .spec import derive_seed
 
 __all__ = ["ChaosConfig", "ChaosInjectedError", "chaos_acquire_shard",
+           "apply_execution_fault", "crash_worker", "corrupt_after_digest",
            "CHAOS_CRASH_EXIT_CODE"]
 
 #: Exit code of a chaos-crashed worker (recognizable in failures.jsonl).
@@ -195,8 +196,59 @@ class ChaosConfig:
 
 
 # ----------------------------------------------------------------------
-# the wrapped shard task
+# the fault sites every supervised task shares
 # ----------------------------------------------------------------------
+
+def apply_execution_fault(chaos: Optional[ChaosConfig], shard_index: int,
+                          attempt: int) -> bool:
+    """Inject this attempt's pre-task fault; True when it must crash.
+
+    ``hang`` and ``slow`` sleep and ``error`` raises right here.
+    ``crash`` is only reported: where the worker dies (before its write,
+    or mid-simulation) is the task's business, via :func:`crash_worker`.
+    """
+    if chaos is None:
+        return False
+    fault = chaos.execution_fault(shard_index, attempt)
+    if fault == "hang":
+        time.sleep(chaos.hang_seconds)
+    elif fault == "error":
+        raise ChaosInjectedError(
+            f"injected task failure (shard {shard_index}, "
+            f"attempt {attempt})"
+        )
+    elif fault == "slow":
+        time.sleep(chaos.slow_seconds)
+    return fault == "crash"
+
+
+def crash_worker(tmp_path: Optional[str]) -> None:
+    """Die the way a mid-write kill does: a stale ``.tmp`` left behind,
+    no result, nonzero exit — the coordinator must sweep the débris and
+    the supervisor must classify the loss as transient."""
+    if tmp_path is not None:
+        try:
+            with open(tmp_path, "wb") as f:
+                f.write(b"chaos: torn write\x00" * 4)
+        except OSError:
+            pass
+    os._exit(CHAOS_CRASH_EXIT_CODE)
+
+
+def corrupt_after_digest(chaos: Optional[ChaosConfig], shard_index: int,
+                         attempt: int, path: str, offset: int) -> None:
+    """Flip the byte at ``offset`` of ``path`` when the ``corrupt`` fault
+    fires.  Called *after* the worker computed its digest: the record
+    now lies about the bytes on disk, which only the supervisor's
+    independent integrity check can notice."""
+    if chaos is None or not chaos.corrupts(shard_index, attempt):
+        return
+    with open(path, "r+b") as f:
+        f.seek(offset)
+        byte = f.read(1) or b"\x00"
+        f.seek(offset)
+        f.write(bytes([byte[0] ^ 0xFF]))
+
 
 def chaos_acquire_shard(spec, directory: str, shard_index: int,
                         attempt: int, chaos: ChaosConfig) -> dict:
@@ -208,36 +260,11 @@ def chaos_acquire_shard(spec, directory: str, shard_index: int,
     from .acquire import acquire_shard
     from .store import TraceStore
 
-    fault = chaos.execution_fault(shard_index, attempt)
-    if fault == "crash":
-        # Die the way a mid-write kill does: a stale .tmp left behind,
-        # no result, nonzero exit — TraceStore.initialize must sweep
-        # the débris and the supervisor must classify this transient.
+    if apply_execution_fault(chaos, shard_index, attempt):
         samples_name, _ = TraceStore.shard_filenames(shard_index)
-        tmp_path = os.path.join(directory, samples_name + ".tmp")
-        with open(tmp_path, "wb") as f:
-            f.write(b"chaos: torn write\x00" * 4)
-        os._exit(CHAOS_CRASH_EXIT_CODE)
-    elif fault == "hang":
-        time.sleep(chaos.hang_seconds)
-    elif fault == "error":
-        raise ChaosInjectedError(
-            f"injected task failure (shard {shard_index}, "
-            f"attempt {attempt})"
-        )
-    elif fault == "slow":
-        time.sleep(chaos.slow_seconds)
-
+        crash_worker(os.path.join(directory, samples_name + ".tmp"))
     record = acquire_shard(spec, directory, shard_index)
-
-    if chaos.corrupts(shard_index, attempt):
-        # Flip one byte *after* the worker computed its digests: the
-        # record now lies about the bytes on disk, which only the
-        # supervisor's independent integrity check can notice.
-        path = os.path.join(directory, record["samples_file"])
-        with open(path, "r+b") as f:
-            f.seek(128)
-            byte = f.read(1) or b"\x00"
-            f.seek(128)
-            f.write(bytes([byte[0] ^ 0xFF]))
+    corrupt_after_digest(chaos, shard_index, attempt,
+                         os.path.join(directory, record["samples_file"]),
+                         128)
     return record

@@ -737,7 +737,7 @@ def cmd_protocol_amortize(protocol: str = "peeters-hermans",
     """
     import json as _json
 
-    from .campaign.store import _atomic_write_bytes
+    from .obs.metrics import atomic_write_bytes
     from .obs.integration import fleet_spec_digest
     from .protocols.amortized import AmortizedSpec, run_amortized_soak
     from .protocols.fleet import DEFAULT_SWEEP
@@ -763,7 +763,7 @@ def cmd_protocol_amortize(protocol: str = "peeters-hermans",
         print(file=sys.stderr)
     if directory:
         os.makedirs(str(directory), exist_ok=True)
-        _atomic_write_bytes(
+        atomic_write_bytes(
             os.path.join(str(directory), "summary.json"),
             _json.dumps(report.summary_payload(), indent=1,
                         sort_keys=True).encode())

@@ -28,7 +28,6 @@ from typing import Callable, Optional
 
 from ..backends.evaluation import HANDSHAKE_POINT_MULTIPLICATIONS
 from ..campaign.acquire import default_workers
-from ..campaign.store import _atomic_write_bytes
 from ..campaign.supervisor import (
     FailureLog,
     Quarantine,
@@ -36,6 +35,7 @@ from ..campaign.supervisor import (
     ShardSupervisor,
 )
 from ..obs import runtime as obs_runtime
+from ..obs.metrics import atomic_write_bytes
 from ..power.energy import EnergyModel, energy_per_toggle_for_activity
 from ..power.technology import OperatingPoint
 from ..security.score import score_design
@@ -447,7 +447,7 @@ class ExplorationEngine:
 
     def run(self) -> ExplorationResult:
         os.makedirs(self.directory, exist_ok=True)
-        _atomic_write_bytes(
+        atomic_write_bytes(
             os.path.join(self.directory, SPACE_NAME),
             json.dumps(self.spec.to_dict(), indent=1,
                        sort_keys=True).encode(),
@@ -533,7 +533,7 @@ class ExplorationEngine:
             "front": front,
         }
         for name, payload in ((POINTS_NAME, points), (PARETO_NAME, pareto)):
-            _atomic_write_bytes(
+            atomic_write_bytes(
                 os.path.join(self.directory, name),
                 json.dumps(payload, indent=1, sort_keys=True).encode(),
             )

@@ -25,8 +25,8 @@ import time
 from typing import Optional
 
 from ..campaign.spec import derive_seed
-from ..campaign.store import _atomic_write_bytes
 from ..obs import runtime as obs_runtime
+from ..obs.metrics import atomic_write_bytes
 from ..obs.tracing import derive_span_id
 from ..power.evaluation import MeasuredDesign, design_area
 from .space import DesignSpaceSpec, MeasurementJob
@@ -121,7 +121,7 @@ def _measure_observed(spec: DesignSpaceSpec, directory: str,
     relpath = measurement_relpath(digest)
     path = os.path.join(directory, relpath)
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    _atomic_write_bytes(path, data)
+    atomic_write_bytes(path, data)
     return {
         "index": job.index,
         "digest": digest,

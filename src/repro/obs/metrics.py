@@ -45,8 +45,9 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricRegistry",
 
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
-    """fsync'd write-tmp-rename, same discipline as the trace store
-    (duplicated here so :mod:`repro.obs` stays dependency-free)."""
+    """fsync'd write-tmp-rename: the one discipline for every artifact
+    the repo persists.  The temp file keeps the ``.tmp`` suffix, so the
+    stores' débris sweeps collect orphans left by crashed writers."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

@@ -44,10 +44,8 @@ only, and a summary table rendered from the metrics read-back path.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import hashlib
-import os
 from dataclasses import dataclass, field as dataclass_field
 from typing import List, Optional, Sequence, Tuple
 
@@ -55,7 +53,7 @@ from ..backends import AeadTagError, EngineTrace, get_backend
 from ..backends.base import SYMMETRIC_BACKEND_NAMES
 from ..channel import BodyAreaChannel, derive_channel_seed
 from ..obs import runtime as _obs_runtime
-from .fleet import DEFAULT_SWEEP, _loss_salt
+from .fleet import DEFAULT_SWEEP, _fan_out, _loss_salt
 from .session import RetransmissionPolicy, make_adapter, \
     run_resilient_session
 
@@ -640,16 +638,6 @@ def run_amortized_soak(spec: AmortizedSpec,
     """
     from ..obs.integration import record_amortized_report
 
-    if workers is None:
-        workers = min(os.cpu_count() or 1, 8)
-    jobs: List[Tuple[float, List[int]]] = []
-    chunk = max(1, spec.sessions // max(1, workers * 4))
-    for loss in spec.sweep:
-        for start in range(0, spec.sessions, chunk):
-            jobs.append((loss, list(range(start,
-                                          min(start + chunk,
-                                              spec.sessions)))))
-
     rt = _obs_runtime.current()
     with contextlib.ExitStack() as stack:
         soak_span = None
@@ -660,30 +648,12 @@ def run_amortized_soak(spec: AmortizedSpec,
                 epoch=spec.epoch_messages, sessions=spec.sessions,
                 points=len(spec.sweep),
             ))
-        by_loss = {loss: [] for loss in spec.sweep}
-        done = 0
-        if workers <= 1 or len(jobs) == 1:
-            for loss, indices in jobs:
-                by_loss[loss].extend(
-                    _run_amortized_slice(spec, loss, indices))
-                done += 1
-                if progress:
-                    progress(done, len(jobs))
-        else:
-            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-                futures = {
-                    pool.submit(_run_amortized_slice, spec, loss,
-                                indices): loss
-                    for loss, indices in jobs}
-                for future in concurrent.futures.as_completed(futures):
-                    by_loss[futures[future]].extend(future.result())
-                    done += 1
-                    if progress:
-                        progress(done, len(jobs))
-
+        by_loss = _fan_out(_run_amortized_slice, spec,
+                           [(loss,) for loss in spec.sweep], workers,
+                           progress)
         points = []
         for key, loss in enumerate(sorted(spec.sweep)):
-            records = sorted(by_loss[loss],
+            records = sorted(by_loss[(loss,)],
                              key=lambda r: r.session_index)
             point = AmortizedPoint(frame_loss=loss, records=records)
             points.append(point)

@@ -11,10 +11,10 @@ frame-loss sweep and report, per loss rate,
 
 Sessions are embarrassingly parallel (every session derives its keys,
 nonces and channel behaviour from ``(seed, session_index)`` alone), so
-the fleet fans out over a :class:`~concurrent.futures.ProcessPoolExecutor`
-exactly like :mod:`repro.campaign.runner` fans out shards — and, like
-there, the aggregate is order-independent: results are keyed and
-sorted, so worker scheduling cannot change a single reported digit.
+the fleet, the power soak and the amortized soak fan out over one
+:class:`~concurrent.futures.ProcessPoolExecutor` helper, ``_fan_out``.
+The aggregate is order-independent: results are keyed and sorted, so
+worker scheduling cannot change a single reported digit.
 """
 
 from __future__ import annotations
@@ -543,6 +543,40 @@ class PowerSoakReport:
         return "\n".join(lines + ["  verdict: " + verdict])
 
 
+def _fan_out(task, spec, points: Sequence[tuple], workers: Optional[int],
+             progress) -> Dict[tuple, list]:
+    """Run ``task(spec, *point, indices)`` over every point and chunk of
+    ``spec.sessions`` indices, in-process or on a process pool.
+
+    ``workers=None`` means ``min(cpu, 8)``; ``0`` or ``1`` (or a single
+    job) runs in-process.  ``progress`` is an optional ``(done, total)``
+    callable.  Returns each point's records in completion order; the
+    callers sort them, so scheduling cannot change a reported digit.
+    """
+    if workers is None:
+        workers = min(os.cpu_count() or 1, 8)
+    chunk = max(1, spec.sessions // max(1, workers * 4))
+    jobs = [(point, list(range(start, min(start + chunk, spec.sessions))))
+            for point in points
+            for start in range(0, spec.sessions, chunk)]
+    results: Dict[tuple, list] = {point: [] for point in points}
+    if workers <= 1 or len(jobs) == 1:
+        for done, (point, indices) in enumerate(jobs, 1):
+            results[point].extend(task(spec, *point, indices))
+            if progress:
+                progress(done, len(jobs))
+    else:
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+            futures = {pool.submit(task, spec, *point, indices): point
+                       for point, indices in jobs}
+            for done, future in enumerate(
+                    concurrent.futures.as_completed(futures), 1):
+                results[futures[future]].extend(future.result())
+                if progress:
+                    progress(done, len(jobs))
+    return results
+
+
 def _run_power_slice(spec: PowerSoakSpec,
                      indices: Sequence[int]) -> List[PowerSessionRecord]:
     """Worker entry: run a slice of intermittent sessions.
@@ -589,12 +623,6 @@ def run_power_soak(spec: PowerSoakSpec, workers: Optional[int] = None,
     """
     from ..obs.integration import record_intermittent_result
 
-    if workers is None:
-        workers = min(os.cpu_count() or 1, 8)
-    chunk = max(1, spec.sessions // max(1, workers * 4))
-    jobs = [list(range(start, min(start + chunk, spec.sessions)))
-            for start in range(0, spec.sessions, chunk)]
-
     rt = _obs_runtime.current()
     with contextlib.ExitStack() as stack:
         soak_span = None
@@ -604,23 +632,8 @@ def run_power_soak(spec: PowerSoakSpec, workers: Optional[int] = None,
                 sessions=spec.sessions, cuts=spec.cuts,
                 interval=spec.checkpoint_interval,
             ))
-        records: List[PowerSessionRecord] = []
-        done = 0
-        if workers <= 1 or len(jobs) == 1:
-            for indices in jobs:
-                records.extend(_run_power_slice(spec, indices))
-                done += 1
-                if progress:
-                    progress(done, len(jobs))
-        else:
-            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-                futures = [pool.submit(_run_power_slice, spec, indices)
-                           for indices in jobs]
-                for future in concurrent.futures.as_completed(futures):
-                    records.extend(future.result())
-                    done += 1
-                    if progress:
-                        progress(done, len(jobs))
+        records = _fan_out(_run_power_slice, spec, [()], workers,
+                           progress)[()]
         records.sort(key=lambda r: r.session_index)
         report = PowerSoakReport(spec=spec, records=records)
         if rt is not None:
@@ -643,15 +656,6 @@ def run_fleet(spec: FleetSpec, workers: Optional[int] = None,
     """
     from ..obs.integration import fleet_spec_digest, record_fleet_report
 
-    if workers is None:
-        workers = min(os.cpu_count() or 1, 8)
-    jobs: List[Tuple[float, List[int]]] = []
-    chunk = max(1, spec.sessions // max(1, workers * 4))
-    for loss in spec.sweep:
-        for start in range(0, spec.sessions, chunk):
-            jobs.append((loss, list(range(start, min(start + chunk,
-                                                     spec.sessions)))))
-
     rt = _obs_runtime.current()
     with contextlib.ExitStack() as stack:
         soak_span = None
@@ -664,28 +668,13 @@ def run_fleet(spec: FleetSpec, workers: Optional[int] = None,
                 protocol=spec.protocol, spec=fleet_spec_digest(spec),
                 sessions=spec.sessions, points=len(spec.sweep),
             ))
-        by_loss: Dict[float, List[SessionRecord]] = {loss: []
-                                                     for loss in spec.sweep}
-        done = 0
-        if workers <= 1 or len(jobs) == 1:
-            for loss, indices in jobs:
-                by_loss[loss].extend(_run_slice(spec, loss, indices))
-                done += 1
-                if progress:
-                    progress(done, len(jobs))
-        else:
-            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-                futures = {pool.submit(_run_slice, spec, loss, indices):
-                           loss for loss, indices in jobs}
-                for future in concurrent.futures.as_completed(futures):
-                    by_loss[futures[future]].extend(future.result())
-                    done += 1
-                    if progress:
-                        progress(done, len(jobs))
-
+        by_loss = _fan_out(_run_slice, spec,
+                           [(loss,) for loss in spec.sweep], workers,
+                           progress)
         points = []
         for key, loss in enumerate(sorted(spec.sweep)):
-            records = sorted(by_loss[loss], key=lambda r: r.session_index)
+            records = sorted(by_loss[(loss,)],
+                             key=lambda r: r.session_index)
             point = SweepPoint(frame_loss=loss,
                                profile=spec.profile(loss),
                                records=records)

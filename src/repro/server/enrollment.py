@@ -37,17 +37,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..campaign.chaos import (CHAOS_CRASH_EXIT_CODE, ChaosConfig,
-                              ChaosInjectedError)
-from ..campaign.store import _atomic_write_bytes, file_digest
+from ..campaign.chaos import (ChaosConfig, apply_execution_fault,
+                              corrupt_after_digest, crash_worker)
+from ..campaign.store import file_digest
 from ..channel.frame import compress_point, decompress_point, \
     point_width_bytes
 from ..ec.curves import get_curve
 from ..ec.point import AffinePoint
+from ..obs.metrics import atomic_write_bytes
 from .errors import EnrollmentError
 from ..protocols.database import TagDatabase
 
@@ -179,24 +179,9 @@ def enroll_shard(spec_dict: dict, directory: str, shard_index: int,
                               f"{spec.num_shards} shards")
 
     chaos = None if chaos_dict is None else ChaosConfig.from_dict(chaos_dict)
-    if chaos is not None:
-        fault = chaos.execution_fault(shard_index, attempt)
-        if fault == "crash":
-            # Die mid-write: stale .tmp, no record, nonzero exit.
-            tmp = os.path.join(directory,
-                               spec.shard_filename(shard_index) + ".tmp")
-            with open(tmp, "wb") as f:
-                f.write(b"chaos: torn enrollment\x00" * 4)
-            os._exit(CHAOS_CRASH_EXIT_CODE)
-        elif fault == "hang":
-            time.sleep(chaos.hang_seconds)
-        elif fault == "error":
-            raise ChaosInjectedError(
-                f"injected enrollment failure (shard {shard_index}, "
-                f"attempt {attempt})"
-            )
-        elif fault == "slow":
-            time.sleep(chaos.slow_seconds)
+    if apply_execution_fault(chaos, shard_index, attempt):
+        crash_worker(os.path.join(directory,
+                                  spec.shard_filename(shard_index) + ".tmp"))
 
     domain = spec.domain()
     curve, generator = domain.curve, domain.generator
@@ -221,17 +206,10 @@ def enroll_shard(spec_dict: dict, directory: str, shard_index: int,
 
     name = spec.shard_filename(shard_index)
     path = os.path.join(directory, name)
-    _atomic_write_bytes(path, bytes(out))
+    atomic_write_bytes(path, bytes(out))
     digest = file_digest(path)
 
-    if chaos is not None and chaos.corrupts(shard_index, attempt):
-        # Flip a byte *after* the digest: the record now lies about
-        # the bytes on disk; only the supervisor's re-hash notices.
-        with open(path, "r+b") as f:
-            f.seek(0)
-            byte = f.read(1) or b"\x00"
-            f.seek(0)
-            f.write(bytes([byte[0] ^ 0xFF]))
+    corrupt_after_digest(chaos, shard_index, attempt, path, 0)
 
     return {
         "shard": shard_index,
@@ -381,7 +359,7 @@ def enroll_fleet(directory: str, spec: EnrollmentSpec, *,
         "spec_digest": spec.digest(),
         "shards": entries,
     }
-    _atomic_write_bytes(
+    atomic_write_bytes(
         manifest_path,
         json.dumps(manifest, indent=1, sort_keys=True).encode(),
     )

@@ -1,59 +1,38 @@
-"""Fleet-scale soak runs: cohorts of sessions under supervision.
+"""Fleet-scale soak runs: cohorts of identification sessions.
 
-A soak drives many thousands of sessions against one enrolled fleet
-and must produce the same summary — byte for byte — whether it ran on
-one worker or eight, with or without chaos faults killing workers
-mid-session.  The trick is the unit of parallelism: a **cohort** is a
-block of consecutive session indices simulated *whole* by one worker
-on its own virtual-time loop.  Cohort results are pure functions of
-``(spec, cohort_index)``, workers never share a simulation, and the
-summary is assembled in cohort order — so scheduling, worker count
-and crash/retry history are invisible in the output.
-
-Worker supervision is the campaign layer's
-:class:`~repro.campaign.supervisor.ShardSupervisor`, reused verbatim:
-a chaos-killed worker (``os._exit`` mid-simulation) is a transient
-failure, the cohort is retried from scratch (determinism makes the
-retry byte-identical), and a cohort that keeps failing is quarantined
-— the soak degrades loudly instead of hanging.
-
-Each cohort file carries the deterministic aggregates *and* a
-wall-stripped metric snapshot; the summary merges snapshots in cohort
-order, exactly the discipline of
-:func:`repro.obs.runtime.merge_shard_metrics`.
+A soak drives many thousands of sessions against one enrolled fleet.
+Each cohort is one independent simulation on its own virtual-time loop
+with its own :class:`~.reader.IdentificationServer`; supervision,
+chaos, the ordered merge, telemetry and the summary are the shared
+cohort-soak driver's (:mod:`repro.campaign.cohort`).  This module
+supplies the fleet-specific part: the spec, the cohort simulation, the
+alert rulebook and the fold into :class:`SoakReport`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-import math
-import os
-import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, List, Optional
 
-from ..campaign.chaos import (CHAOS_CRASH_EXIT_CODE, ChaosConfig,
-                              ChaosInjectedError)
-from ..campaign.store import _atomic_write_bytes, file_digest
+from ..campaign.chaos import ChaosConfig
+from ..campaign.cohort import (SUMMARY_NAME, arrival_gap,
+                               chaos_kill_point, run_cohort_soak)
 from ..channel import LossProfile, derive_channel_seed
-from ..obs import runtime as _obs_runtime
-from ..obs.alerts import ALERTS_NAME, default_rulebook, write_alert_log
+from ..obs.alerts import default_rulebook
 from ..obs.metrics import MetricRegistry, strip_wall_metrics
-from ..obs.stream import (TELEMETRY_NAME, make_event, run_pipeline,
-                          spread_drain_events, write_telemetry)
-from ..protocols.session import RetransmissionPolicy
+from ..obs.stream import make_event, spread_drain_events
 from .enrollment import EnrollmentStore
 from .errors import (AdmissionRejectedError, ReplayQuarantinedError,
                      ServerError, SourceThrottledError)
 from .reader import IdentificationServer, ServerConfig
 from .simloop import SimLoop
 
-__all__ = ["SoakSpec", "SoakReport", "run_soak", "run_cohort",
-           "simulate_cohort", "soak_rulebook", "SUMMARY_NAME",
-           "SESSION_OUTCOMES"]
+__all__ = ["SoakSpec", "SoakReport", "run_soak", "simulate_cohort",
+           "soak_rulebook", "SUMMARY_NAME", "SESSION_OUTCOMES"]
 
-SUMMARY_NAME = "summary.json"
 _SCHEMA_VERSION = 1
 
 #: The full enumeration of session outcomes a soak can observe.  The
@@ -105,25 +84,7 @@ class SoakSpec:
             raise ValueError("tag budget must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "enrollment_digest": self.enrollment_digest,
-            "store_dir": self.store_dir,
-            "sessions": self.sessions,
-            "cohorts": self.cohorts,
-            "arrival_rate": self.arrival_rate,
-            "frame_loss": self.frame_loss,
-            "seed": self.seed,
-            "capacity": self.capacity,
-            "admission_queue": self.admission_queue,
-            "session_deadline_s": self.session_deadline_s,
-            "search_mode": self.search_mode,
-            "distance_m": self.distance_m,
-            "adversarial_fraction": self.adversarial_fraction,
-            "throttle_limit": self.throttle_limit,
-            "replay_quarantine": self.replay_quarantine,
-            "tag_budget_uj": self.tag_budget_uj,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SoakSpec":
@@ -170,20 +131,26 @@ class SoakSpec:
             return f"adv-{index % 4}"
         return f"tag-{index}"
 
-    @staticmethod
-    def cohort_filename(cohort_index: int) -> str:
-        return f"cohort-{cohort_index:05d}.json"
-
 
 # ----------------------------------------------------------------------
 # one cohort = one independent simulation
 # ----------------------------------------------------------------------
 
-def _arrival_gap(seed: int, index: int, rate: float) -> float:
-    """Deterministic exponential-ish inter-arrival gap."""
-    unit = derive_channel_seed(seed, "server/arrival", index, 0, 0) \
-        / 2.0 ** 64
-    return -math.log(max(unit, 1e-12)) / rate
+def _open_fleet(spec: SoakSpec, verify: bool) -> EnrollmentStore:
+    store = EnrollmentStore(spec.store_dir, verify=verify)
+    if store.spec.digest() != spec.enrollment_digest:
+        raise ServerError(
+            f"store at {spec.store_dir} holds fleet "
+            f"{store.spec.digest()[:12]}..., soak spec wants "
+            f"{spec.enrollment_digest[:12]}..."
+        )
+    return store
+
+
+#: The shed reason each admission refusal counts under.
+_SHED_REASONS = {AdmissionRejectedError: "overload",
+                 SourceThrottledError: "throttled",
+                 ReplayQuarantinedError: "quarantined"}
 
 
 def simulate_cohort(spec: SoakSpec, cohort_index: int, *,
@@ -198,13 +165,7 @@ def simulate_cohort(spec: SoakSpec, cohort_index: int, *,
     byte-identically.  ``registry`` lets a caller watch the metrics
     live (the CLI's ``server run`` serves it over HTTP mid-flight).
     """
-    store = EnrollmentStore(spec.store_dir, verify=False)
-    if store.spec.digest() != spec.enrollment_digest:
-        raise ServerError(
-            f"store at {spec.store_dir} holds fleet "
-            f"{store.spec.digest()[:12]}..., soak spec wants "
-            f"{spec.enrollment_digest[:12]}..."
-        )
+    store = _open_fleet(spec, verify=False)
     loop = SimLoop()
     registry = registry if registry is not None else MetricRegistry()
     server = IdentificationServer(
@@ -212,68 +173,38 @@ def simulate_cohort(spec: SoakSpec, cohort_index: int, *,
         profile=LossProfile(frame_loss=spec.frame_loss),
         registry=registry)
     base = cohort_index * spec.sessions
-    concluded = 0
-
     source = f"cohort-{cohort_index:05d}"
 
     async def drive() -> List:
-        nonlocal concluded
         server.start()
         futures = []
         submit_vts = {}
-        shed_indices = []
         shed_events = []
-        shed_reasons = {"overload": 0, "throttled": 0,
-                        "quarantined": 0}
+        shed_reasons = {reason: 0 for reason in _SHED_REASONS.values()}
         for i in range(spec.sessions):
             index = base + i
             if i:
-                await loop.sleep(_arrival_gap(spec.seed, index,
-                                              spec.arrival_rate))
+                await loop.sleep(arrival_gap(spec.seed, index,
+                                             spec.arrival_rate,
+                                             "server/arrival"))
             try:
                 submit_vts[index] = loop.now
                 futures.append(server.submit(
                     index, source=spec.source_for(index),
                     adversarial=spec.is_adversarial(index)))
-            except ReplayQuarantinedError:
-                shed_indices.append(index)
-                shed_reasons["quarantined"] += 1
-                shed_events.append(make_event(loop.now, source, index,
-                                              shed=1))
-            except SourceThrottledError:
-                shed_indices.append(index)
-                shed_reasons["throttled"] += 1
-                shed_events.append(make_event(loop.now, source, index,
-                                              shed=1))
-            except AdmissionRejectedError:
-                shed_indices.append(index)
-                shed_reasons["overload"] += 1
+            except tuple(_SHED_REASONS) as exc:
+                shed_reasons[_SHED_REASONS[type(exc)]] += 1
                 shed_events.append(make_event(loop.now, source, index,
                                               shed=1))
         outcomes = []
         for future in futures:
             outcomes.append(await future)
-            concluded += 1
-            if crash_after is not None and concluded >= crash_after:
-                # Die the way a killed worker does: torn temp file,
-                # no result, simulation abandoned mid-session.  The
-                # flight recorder dumps first — the black box is the
-                # only telemetry that survives the kill.
-                _obs_runtime.flight_dump(
-                    "chaos-kill", cohort=cohort_index,
-                    sessions_concluded=concluded)
-                if crash_tmp_path is not None:
-                    try:
-                        with open(crash_tmp_path, "wb") as f:
-                            f.write(b"chaos: torn soak write\x00" * 4)
-                    except OSError:
-                        pass
-                os._exit(CHAOS_CRASH_EXIT_CODE)
+            chaos_kill_point(len(outcomes), crash_after, crash_tmp_path,
+                             cohort_index)
         await server.close()
-        return outcomes, submit_vts, shed_events, shed_indices, \
-            shed_reasons
+        return outcomes, submit_vts, shed_events, shed_reasons
 
-    outcomes, submit_vts, shed_events, shed_indices, shed_reasons = \
+    outcomes, submit_vts, shed_events, shed_reasons = \
         loop.run_until_complete(drive())
 
     # One telemetry event per concluded session (plus the battery's
@@ -316,7 +247,7 @@ def simulate_cohort(spec: SoakSpec, cohort_index: int, *,
         "sessions": spec.sessions,
         "first_index": base,
         "outcomes": {k: by_outcome[k] for k in sorted(by_outcome)},
-        "shed": len(shed_indices),
+        "shed": sum(shed_reasons.values()),
         "shed_reasons": {k: shed_reasons[k]
                          for k in sorted(shed_reasons)},
         "quarantined_sources": sorted(server.quarantined_sources),
@@ -335,62 +266,6 @@ def simulate_cohort(spec: SoakSpec, cohort_index: int, *,
         },
         "telemetry": telemetry,
         "metrics": strip_wall_metrics(registry.snapshot()),
-    }
-
-
-def run_cohort(spec_dict: dict, directory: str, cohort_index: int,
-               attempt: int, chaos_dict: Optional[dict]) -> dict:
-    """The supervised worker task: simulate, write, report.
-
-    Chaos faults mirror the campaign layer's: ``crash`` kills the
-    worker mid-simulation (after half the cohort's sessions conclude),
-    ``corrupt`` flips a byte after the digest was computed so only the
-    supervisor's independent re-hash can notice.
-    """
-    spec = SoakSpec.from_dict(spec_dict)
-    chaos = None if chaos_dict is None else ChaosConfig.from_dict(chaos_dict)
-    crash_after = None
-    if chaos is not None:
-        fault = chaos.execution_fault(cohort_index, attempt)
-        if fault == "crash":
-            crash_after = max(1, spec.sessions // 2)
-        elif fault == "hang":
-            time.sleep(chaos.hang_seconds)
-        elif fault == "error":
-            raise ChaosInjectedError(
-                f"injected soak failure (cohort {cohort_index}, "
-                f"attempt {attempt})"
-            )
-        elif fault == "slow":
-            time.sleep(chaos.slow_seconds)
-
-    crash_tmp = os.path.join(
-        directory, spec.cohort_filename(cohort_index) + ".tmp")
-    with _obs_runtime.shard_scope(cohort_index) as rt:
-        payload = simulate_cohort(spec, cohort_index,
-                                  crash_after=crash_after,
-                                  crash_tmp_path=crash_tmp)
-        if rt is not None:
-            rt.registry.merge_snapshot(payload["metrics"])
-
-    name = spec.cohort_filename(cohort_index)
-    path = os.path.join(directory, name)
-    _atomic_write_bytes(
-        path, json.dumps(payload, indent=1, sort_keys=True).encode())
-    digest = file_digest(path)
-
-    if chaos is not None and chaos.corrupts(cohort_index, attempt):
-        with open(path, "r+b") as f:
-            f.seek(16)
-            byte = f.read(1) or b"\x00"
-            f.seek(16)
-            f.write(bytes([byte[0] ^ 0xFF]))
-
-    return {
-        "shard": cohort_index,
-        "file": name,
-        "sha256": digest,
-        "artifacts": [(name, digest)],
     }
 
 
@@ -482,82 +357,25 @@ class SoakReport:
         return "\n".join(lines)
 
 
-def run_soak(directory: str, spec: SoakSpec, *,
-             workers: Optional[int] = None,
-             chaos: Optional[ChaosConfig] = None,
-             policy=None,
-             on_event=None) -> SoakReport:
-    """Drive every cohort under supervision and write ``summary.json``.
+#: The summary's ``totals`` block: these report fields, summed over
+#: cohorts (``peak_in_flight`` is the per-cohort maximum).
+_TOTALS = ("sessions", "accepted", "shed", "deadline", "adversarial",
+           "budget_exhausted", "throttled", "shed_quarantined",
+           "correct", "peak_in_flight", "tag_energy_uj",
+           "reader_energy_uj")
 
-    The summary is a pure function of the spec: cohort aggregates in
-    cohort order, metric snapshots merged in cohort order, wall-clock
-    families stripped.  ``cmp`` two summaries from different worker
-    counts and they match.
-    """
-    from ..campaign.acquire import default_workers
-    from ..campaign.supervisor import ShardSupervisor
 
-    started = time.monotonic()
-    os.makedirs(directory, exist_ok=True)
-    for name in os.listdir(directory):
-        if name.endswith(".tmp"):
-            try:
-                os.unlink(os.path.join(directory, name))
-            except OSError:
-                pass
-
-    # Fail fast on a wrong or corrupt fleet before spawning workers.
-    store = EnrollmentStore(spec.store_dir, verify=True)
-    if store.spec.digest() != spec.enrollment_digest:
-        raise ServerError(
-            f"store at {spec.store_dir} holds fleet "
-            f"{store.spec.digest()[:12]}..., soak spec wants "
-            f"{spec.enrollment_digest[:12]}..."
-        )
-
-    records: Dict[int, dict] = {}
-    supervisor = ShardSupervisor(
-        spec, directory,
-        workers=default_workers(workers),
-        policy=policy,
-        chaos=chaos,
-        task=run_cohort,
-        on_success=lambda record, attempt: records.__setitem__(
-            record["shard"], record),
-        on_event=on_event,
-    )
-    outcome = supervisor.run(list(range(spec.cohorts)))
-    quarantined = sorted(outcome.quarantined)
-
-    merged = MetricRegistry()
-    cohort_summaries = []
-    telemetry_events = []
-    report = SoakReport(
-        outcome="degraded" if quarantined else "clean",
-        spec_digest=spec.digest(),
-        directory=str(directory),
-        cohorts_total=spec.cohorts,
-        cohorts_completed=len(records),
-        quarantined=quarantined,
-        retried_attempts=outcome.retried_attempts,
-    )
-    for index in sorted(records):
-        path = os.path.join(directory, records[index]["file"])
-        with open(path, "r", encoding="utf-8") as f:
-            payload = json.load(f)
-        merged.merge_snapshot(payload["metrics"])
-        telemetry_events.extend(payload.get("telemetry", ()))
-        aggregates = {k: v for k, v in payload.items()
-                      if k not in ("metrics", "telemetry")}
-        cohort_summaries.append(aggregates)
-        report.sessions += payload["sessions"]
-        report.accepted += payload["outcomes"].get("accepted", 0)
-        report.deadline += payload["outcomes"].get("deadline", 0)
-        report.adversarial += payload["outcomes"].get("adversarial", 0)
-        report.budget_exhausted += \
-            payload["outcomes"].get("budget_exhausted", 0)
-        report.shed += payload["shed"]
+def _fold(spec: SoakSpec, common: dict, cohorts: List[dict]):
+    report = SoakReport(**common)
+    for payload in cohorts:
+        outcomes = payload["outcomes"]
         reasons = payload.get("shed_reasons", {})
+        report.sessions += payload["sessions"]
+        report.accepted += outcomes.get("accepted", 0)
+        report.deadline += outcomes.get("deadline", 0)
+        report.adversarial += outcomes.get("adversarial", 0)
+        report.budget_exhausted += outcomes.get("budget_exhausted", 0)
+        report.shed += payload["shed"]
         report.throttled += reasons.get("throttled", 0)
         report.shed_quarantined += reasons.get("quarantined", 0)
         report.correct += payload["correct"]
@@ -567,62 +385,21 @@ def run_soak(directory: str, spec: SoakSpec, *,
             report.tag_energy_uj + payload["tag_energy_uj"], 6)
         report.reader_energy_uj = round(
             report.reader_energy_uj + payload["reader_energy_uj"], 6)
+    return report, {name: getattr(report, name) for name in _TOTALS}
 
-    # Live telemetry: fold every cohort's ordered event stream through
-    # the aggregator + the fleet rulebook.  Events are pure functions
-    # of (spec, cohort) and the fold order is total, so telemetry.json
-    # and alerts.json are byte-identical across worker counts too.
-    rules = soak_rulebook(spec)
-    live, alert_records = run_pipeline(telemetry_events, rules,
-                                       window_s=rules[0].window_s)
-    write_telemetry(os.path.join(directory, TELEMETRY_NAME), live)
-    alert_log = write_alert_log(
-        os.path.join(directory, ALERTS_NAME), rules, alert_records)
-    session_uj = live["series"].get("session_uj", {})
-    report.alert_firings = alert_log["firings"]
-    report.session_uj_p99 = session_uj.get("p99")
 
-    summary = {
-        "schema_version": _SCHEMA_VERSION,
-        "spec": spec.identity_dict(),
-        "spec_digest": spec.digest(),
-        "outcome": report.outcome,
-        "quarantined": quarantined,
-        "cohorts": cohort_summaries,
-        "totals": {
-            "sessions": report.sessions,
-            "accepted": report.accepted,
-            "shed": report.shed,
-            "deadline": report.deadline,
-            "adversarial": report.adversarial,
-            "budget_exhausted": report.budget_exhausted,
-            "throttled": report.throttled,
-            "shed_quarantined": report.shed_quarantined,
-            "correct": report.correct,
-            "peak_in_flight": report.peak_in_flight,
-            "tag_energy_uj": report.tag_energy_uj,
-            "reader_energy_uj": report.reader_energy_uj,
-        },
-        "telemetry": {
-            "events": live["events"],
-            "session_uj": {key: session_uj.get(key)
-                           for key in ("count", "p50", "p95", "p99",
-                                       "max")},
-            "alerts": {
-                "firings": alert_log["firings"],
-                "by_rule": alert_log["firings_by_rule"],
-            },
-        },
-        "metrics": strip_wall_metrics(merged.snapshot()),
-    }
-    summary_path = os.path.join(directory, SUMMARY_NAME)
-    _atomic_write_bytes(
-        summary_path,
-        json.dumps(summary, indent=1, sort_keys=True).encode())
-    report.summary_path = summary_path
-    report.wall_s = time.monotonic() - started
-
-    rt = _obs_runtime.current()
-    if rt is not None:
-        _obs_runtime.merge_shard_metrics(rt, sorted(records))
-    return report
+def run_soak(directory: str, spec: SoakSpec, *,
+             workers: Optional[int] = None,
+             chaos: Optional[ChaosConfig] = None,
+             policy=None,
+             on_event=None) -> SoakReport:
+    """Drive every cohort under supervision and write ``summary.json``
+    (plus ``telemetry.json`` and ``alerts.json``), byte-identical across
+    worker counts: see :func:`repro.campaign.cohort.run_cohort_soak`.
+    """
+    # Fail fast on a wrong or corrupt fleet before spawning workers.
+    _open_fleet(spec, verify=True)
+    return run_cohort_soak(directory, spec, simulate=simulate_cohort,
+                           fold=_fold, rulebook=soak_rulebook,
+                           workers=workers, chaos=chaos, policy=policy,
+                           on_event=on_event)
