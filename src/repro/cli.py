@@ -16,20 +16,24 @@ script:
 Every command returns its report as a string (and prints it), so the
 CLI is testable without subprocesses.
 
-Campaign exit codes form a small contract for scripts and CI:
+Exit codes form one contract for scripts and CI, shared by every
+command group (``_CONTRACT`` holds each group's errors and hint):
 
 * ``0`` — clean (full coverage, attack ran, status printed);
-* ``1`` — failed (a :class:`~repro.campaign.errors.CampaignError`:
-  integrity violation, schedule mismatch, refused partial store);
-* ``3`` — degraded (acquisition finished but shards are quarantined);
-* ``130`` — interrupted (Ctrl-C; progress is checkpointed and the
-  resume command is printed).
+* ``1`` — failed (the group's typed error, e.g. a campaign integrity
+  violation, or a floor that broke);
+* ``3`` — degraded (finished, but shards/cohorts were quarantined or
+  some sessions fell short while the floor held);
+* ``130`` — interrupted (Ctrl-C; the hint says how to resume or rerun).
 """
 
 from __future__ import annotations
 
 import argparse
+import builtins
 import contextlib
+import importlib
+import json
 import os
 import random
 import sys
@@ -156,20 +160,6 @@ def cmd_evaluate(weak: bool = False, traces: int = 80,
 # campaign verbs
 # ----------------------------------------------------------------------
 
-def _campaign_spec_from_args(args) -> "object":
-    from .campaign import CampaignSpec
-
-    return CampaignSpec(
-        n_traces=args.traces,
-        shard_size=args.shard_size,
-        scenario=args.scenario,
-        seed=args.seed,
-        max_iterations=None if args.bits is None else args.bits + 1,
-        noise_sigma=args.noise,
-        curve=args.curve,
-    )
-
-
 def _obs_session(obs_dir, **kwargs):
     """An obs session context, or a no-op when tracing is off."""
     if not obs_dir:
@@ -177,6 +167,79 @@ def _obs_session(obs_dir, **kwargs):
     from .obs import runtime as obs_runtime
 
     return obs_runtime.session(str(obs_dir), **kwargs)
+
+
+def _obs_dir(directory, obs: bool, obs_profile: bool):
+    """``<directory>/obs`` when the run is traced, else ``None``."""
+    return os.path.join(str(directory), "obs") if obs or obs_profile else None
+
+
+def _chaos_config(chaos, chaos_seed: int, only_shards=None):
+    """The parsed ``--chaos`` spec, or ``None`` when chaos is off."""
+    if not chaos:
+        return None
+    from .campaign.chaos import ChaosConfig
+
+    return ChaosConfig.parse(chaos, seed=chaos_seed,
+                             only_shards=only_shards)
+
+
+def _retry_policy(max_attempts):
+    """A supervisor retry policy capped at ``max_attempts`` (``None``
+    keeps the supervisor default)."""
+    if max_attempts is None:
+        return None
+    from .campaign import RetryPolicy
+
+    return RetryPolicy(max_attempts=max_attempts,
+                       deterministic_attempts=min(
+                           max_attempts,
+                           RetryPolicy.deterministic_attempts))
+
+
+@contextlib.contextmanager
+def _slice_progress(quiet: bool):
+    """Yield a ``progress(done, total)`` callback drawing one stderr
+    line (``None`` when quiet); the line is ended after a clean run."""
+    if quiet:
+        yield None
+        return
+
+    def progress(done, total):
+        print(f"\r  slices {done}/{total}", end="", file=sys.stderr,
+              flush=True)
+
+    yield progress
+    print(file=sys.stderr)
+
+
+def _floor_code(clean: bool, rate: float, floor: float) -> int:
+    """``0`` when clean, ``3`` when ``rate`` holds ``floor``, else ``1``."""
+    if clean:
+        return EXIT_OK
+    return EXIT_DEGRADED if rate >= floor else EXIT_FAILED
+
+
+def _soak_verdict(output: str, label: str, sessions: int, rate: float,
+                  floor: float, degraded: bool) -> tuple:
+    """``(output, code)`` of a soak with a floor: ``1`` when ``rate``
+    fell below ``floor`` (over a non-empty soak), else ``3`` when
+    degraded.  Unlike :func:`_floor_code` the floor is checked first."""
+    if sessions and rate < floor:
+        return (output + f"\n  FAILED: {label} {rate:.1%} below the floor "
+                f"{floor:.1%}", EXIT_FAILED)
+    return output, EXIT_DEGRADED if degraded else EXIT_OK
+
+
+def _write_summary(directory, report) -> str:
+    """Atomically write ``report``'s worker-invariant ``summary.json``
+    into ``directory``; returns its path."""
+    from .obs.metrics import atomic_write_bytes
+
+    path = os.path.join(str(directory), "summary.json")
+    atomic_write_bytes(path, json.dumps(report.summary_payload(), indent=1,
+                                        sort_keys=True).encode())
+    return path
 
 
 def cmd_campaign_acquire(directory: str, spec, workers=None,
@@ -191,29 +254,16 @@ def cmd_campaign_acquire(directory: str, spec, workers=None,
     ``EXIT_DEGRADED`` when shards ended up quarantined.  With ``obs``
     (or ``obs_profile``) the run is traced into ``<directory>/obs``.
     """
-    from .campaign import AcquisitionEngine, ChaosConfig, ConsoleReporter, \
-        NullReporter, RetryPolicy
+    from .campaign import AcquisitionEngine, ConsoleReporter, NullReporter
 
     reporter = NullReporter() if quiet else ConsoleReporter()
-    policy = None
-    if max_attempts is not None:
-        policy = RetryPolicy(
-            max_attempts=max_attempts,
-            deterministic_attempts=min(
-                max_attempts, RetryPolicy.deterministic_attempts
-            ),
-        )
-    chaos_config = None
-    if chaos:
-        chaos_config = ChaosConfig.parse(chaos, seed=chaos_seed,
-                                         only_shards=chaos_shards)
-    obs_dir = os.path.join(str(directory), "obs") \
-        if (obs or obs_profile) else None
+    obs_dir = _obs_dir(directory, obs, obs_profile)
     engine = AcquisitionEngine(directory, spec, workers=workers,
                                reporter=reporter,
                                shard_timeout=shard_timeout,
-                               retry_policy=policy,
-                               chaos=chaos_config)
+                               retry_policy=_retry_policy(max_attempts),
+                               chaos=_chaos_config(chaos, chaos_seed,
+                                                   chaos_shards))
     with _obs_session(obs_dir, kind="campaign", seed=spec.seed,
                       config_digest=spec.digest(), profile=obs_profile,
                       argv=["campaign", "acquire", "--dir",
@@ -327,15 +377,13 @@ def cmd_campaign_doctor(directory: str, clear: bool = False,
     traced run left behind; ``--clear`` releases quarantined shards
     so the next ``acquire`` retries them.
     """
-    import os as _os
-
     from .campaign.supervisor import FailureLog, Quarantine
     from .obs.flightrec import load_flight_dumps
     from .obs.runtime import OBS_DIRNAME
 
     log = FailureLog(directory)
     quarantine = Quarantine(directory)
-    flights = load_flight_dumps(_os.path.join(directory, OBS_DIRNAME))
+    flights = load_flight_dumps(os.path.join(directory, OBS_DIRNAME))
     lines = [f"campaign {directory}: doctor report"]
     if not log.exists and not quarantine.entries() and not flights:
         lines.append("  no recorded failures — campaign is healthy")
@@ -458,31 +506,18 @@ def cmd_campaign_attack(directory: str, attack: str = "dpa",
 # dse verbs
 # ----------------------------------------------------------------------
 
-def _dse_spec_from_args(args) -> "object":
-    from .dse import DesignSpaceSpec
-
-    def floats(text):
-        return tuple(float(x) for x in text.split(",") if x)
-
-    return DesignSpaceSpec(
-        digit_sizes=tuple(int(x) for x in args.digits.split(",") if x),
-        vdd_volts=floats(args.vdd),
-        frequencies_hz=floats(args.freq),
-        countermeasures=tuple(
-            s for s in args.countermeasures.split(",") if s),
-        backends=tuple(
-            s for s in getattr(args, "backends", "").split(",") if s),
-        curve=args.curve,
-        seed=args.seed,
-        whitebox=args.whitebox,
-        whitebox_traces=args.whitebox_traces,
-        max_latency_s=(None if args.max_latency_ms <= 0
-                       else args.max_latency_ms / 1e3),
-        max_area_ge=args.max_area_ge,
-        min_security=(None if args.min_security < 0
-                      else args.min_security),
-        objectives=tuple(s for s in args.objectives.split(",") if s),
-    )
+def _constraints(max_latency_ms, max_area_ge, min_security) -> dict:
+    """Design-space constraint fields from the CLI's units: ``None``
+    leaves a field out, 0 ms or a negative floor disables it."""
+    fields = {}
+    if max_latency_ms is not None:
+        fields["max_latency_s"] = (None if max_latency_ms <= 0
+                                   else max_latency_ms / 1e3)
+    if max_area_ge is not None:
+        fields["max_area_ge"] = max_area_ge
+    if min_security is not None:
+        fields["min_security"] = None if min_security < 0 else min_security
+    return fields
 
 
 def cmd_dse_explore(directory: str, spec, workers=None,
@@ -496,22 +531,12 @@ def cmd_dse_explore(directory: str, spec, workers=None,
     With ``obs`` (or ``obs_profile``) the run is traced into
     ``<directory>/obs``.
     """
-    from .campaign import RetryPolicy
     from .dse import ExplorationEngine
 
-    policy = None
-    if max_attempts is not None:
-        policy = RetryPolicy(
-            max_attempts=max_attempts,
-            deterministic_attempts=min(
-                max_attempts, RetryPolicy.deterministic_attempts
-            ),
-        )
-    obs_dir = os.path.join(str(directory), "obs") \
-        if (obs or obs_profile) else None
+    obs_dir = _obs_dir(directory, obs, obs_profile)
     engine = ExplorationEngine(directory, spec, workers=workers,
                                shard_timeout=shard_timeout,
-                               retry_policy=policy)
+                               retry_policy=_retry_policy(max_attempts))
     with _obs_session(obs_dir, kind="dse", seed=spec.seed,
                       config_digest=spec.digest(), profile=obs_profile,
                       argv=["dse", "explore", "--dir", str(directory)]):
@@ -529,16 +554,15 @@ def cmd_dse_explore(directory: str, spec, workers=None,
     return "\n".join(lines), EXIT_OK
 
 
-def _dse_spec_from_directory(directory: str) -> "object":
-    import json as _json
-
-    from .dse import DesignSpaceSpec, SPACE_NAME
+def _read_explored(directory: str, name: str) -> dict:
+    """One JSON artifact of an explored directory, or a DseError that
+    says to explore first."""
     from .dse.errors import DseError
 
-    path = os.path.join(str(directory), SPACE_NAME)
+    path = os.path.join(str(directory), name)
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return DesignSpaceSpec.from_dict(_json.load(f))
+            return json.load(f)
     except (OSError, ValueError) as exc:
         raise DseError(
             f"{path} is missing or unreadable — run "
@@ -557,29 +581,20 @@ def cmd_dse_pareto(directory: str, objectives=None,
     measured is an error (explore first).
     """
     import dataclasses
-    import json as _json
 
-    from .dse import analyze_space
+    from .dse import DesignSpaceSpec, SPACE_NAME, analyze_space
 
-    spec = _dse_spec_from_directory(directory)
-    overrides = {}
+    spec = DesignSpaceSpec.from_dict(_read_explored(directory, SPACE_NAME))
+    overrides = _constraints(max_latency_ms, max_area_ge, min_security)
     if objectives is not None:
         overrides["objectives"] = tuple(objectives)
-    if max_latency_ms is not None:
-        overrides["max_latency_s"] = (None if max_latency_ms <= 0
-                                      else max_latency_ms / 1e3)
-    if max_area_ge is not None:
-        overrides["max_area_ge"] = max_area_ge
-    if min_security is not None:
-        overrides["min_security"] = (None if min_security < 0
-                                     else min_security)
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
     rows, front = analyze_space(str(directory), spec)
     if as_json:
-        return _json.dumps({"objectives": list(spec.objectives),
-                            "front": front},
-                           indent=1, sort_keys=True), EXIT_OK
+        return json.dumps({"objectives": list(spec.objectives),
+                           "front": front},
+                          indent=1, sort_keys=True), EXIT_OK
     lines = [
         f"objectives: {', '.join(spec.objectives)}   "
         f"feasible: {sum(1 for r in rows if r['feasible'])}/{len(rows)}   "
@@ -591,22 +606,11 @@ def cmd_dse_pareto(directory: str, objectives=None,
 
 def cmd_dse_report(directory: str, as_json: bool = False) -> tuple:
     """The full evaluated grid of an explored directory."""
-    import json as _json
-
     from .dse import POINTS_NAME
-    from .dse.errors import DseError
 
-    path = os.path.join(str(directory), POINTS_NAME)
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            payload = _json.load(f)
-    except (OSError, ValueError) as exc:
-        raise DseError(
-            f"{path} is missing or unreadable — run "
-            f"`repro dse explore --dir {directory}` first ({exc})"
-        ) from None
+    payload = _read_explored(directory, POINTS_NAME)
     if as_json:
-        return _json.dumps(payload, indent=1, sort_keys=True), EXIT_OK
+        return json.dumps(payload, indent=1, sort_keys=True), EXIT_OK
     rows = payload["rows"]
     lines = [f"design space {directory}: {len(rows)} operating points "
              f"(spec {payload['spec_digest']})"]
@@ -695,26 +699,15 @@ def cmd_protocol_soak(protocol: str = "peeters-hermans",
     spec = FleetSpec(protocol=protocol, curve=curve, sessions=sessions,
                      seed=seed, sweep=tuple(sweep or DEFAULT_SWEEP),
                      distance_m=distance)
-    progress = None
-    if not quiet:
-        def progress(done, total):
-            print(f"\r  slices {done}/{total}", end="",
-                  file=sys.stderr, flush=True)
-    with _obs_session(obs_dir, kind="protocol-soak", seed=seed,
-                      config_digest=fleet_spec_digest(spec),
-                      profile=obs_profile,
-                      argv=["protocol", "soak", "--protocol", protocol]):
+    with _slice_progress(quiet) as progress, \
+            _obs_session(obs_dir, kind="protocol-soak", seed=seed,
+                         config_digest=fleet_spec_digest(spec),
+                         profile=obs_profile,
+                         argv=["protocol", "soak", "--protocol", protocol]):
         report = run_fleet(spec, workers=workers, progress=progress)
-    if not quiet:
-        print(file=sys.stderr)
     floor = min(point.availability for point in report.points)
-    if report.fully_available:
-        code = EXIT_OK
-    elif floor >= min_availability:
-        code = EXIT_DEGRADED
-    else:
-        code = EXIT_FAILED
-    return report.summary(), code
+    return report.summary(), _floor_code(report.fully_available, floor,
+                                         min_availability)
 
 
 def cmd_protocol_amortize(protocol: str = "peeters-hermans",
@@ -735,9 +728,6 @@ def cmd_protocol_amortize(protocol: str = "peeters-hermans",
     ``1`` below the floor.  With ``directory`` the worker-invariant
     ``summary.json`` is written there (the CI ``cmp`` artifact).
     """
-    import json as _json
-
-    from .obs.metrics import atomic_write_bytes
     from .obs.integration import fleet_spec_digest
     from .protocols.amortized import AmortizedSpec, run_amortized_soak
     from .protocols.fleet import DEFAULT_SWEEP
@@ -747,33 +737,19 @@ def cmd_protocol_amortize(protocol: str = "peeters-hermans",
         epoch_messages=epoch, messages=messages, sessions=sessions,
         seed=seed, sweep=tuple(sweep or DEFAULT_SWEEP),
         distance_m=distance)
-    progress = None
-    if not quiet:
-        def progress(done, total):
-            print(f"\r  slices {done}/{total}", end="",
-                  file=sys.stderr, flush=True)
-    with _obs_session(obs_dir, kind="protocol-amortize", seed=seed,
-                      config_digest=fleet_spec_digest(spec),
-                      profile=obs_profile,
-                      argv=["protocol", "amortize",
-                            "--backend", backend]):
+    with _slice_progress(quiet) as progress, \
+            _obs_session(obs_dir, kind="protocol-amortize", seed=seed,
+                         config_digest=fleet_spec_digest(spec),
+                         profile=obs_profile,
+                         argv=["protocol", "amortize",
+                               "--backend", backend]):
         report = run_amortized_soak(spec, workers=workers,
                                     progress=progress)
-    if not quiet:
-        print(file=sys.stderr)
     if directory:
-        os.makedirs(str(directory), exist_ok=True)
-        atomic_write_bytes(
-            os.path.join(str(directory), "summary.json"),
-            _json.dumps(report.summary_payload(), indent=1,
-                        sort_keys=True).encode())
-    if report.fully_delivered:
-        code = EXIT_OK
-    elif report.min_delivery_rate >= min_delivery:
-        code = EXIT_DEGRADED
-    else:
-        code = EXIT_FAILED
-    return report.summary(), code
+        _write_summary(directory, report)
+    return report.summary(), _floor_code(report.fully_delivered,
+                                         report.min_delivery_rate,
+                                         min_delivery)
 
 
 # ----------------------------------------------------------------------
@@ -788,13 +764,11 @@ def cmd_obs_report(directory: str, as_json: bool = False, top: int = 10,
     Exits ``EXIT_FAILED`` when a required span name or metric family
     is absent (the CI guard against silently-degraded tracing).
     """
-    import json as _json
-
     from .obs import report as obs_report
 
     if as_json:
-        output = _json.dumps(obs_report.report_json(directory, top=top),
-                             indent=1, sort_keys=True)
+        output = json.dumps(obs_report.report_json(directory, top=top),
+                            indent=1, sort_keys=True)
     else:
         output = obs_report.render_report(directory, top=top)
     code = EXIT_OK
@@ -832,13 +806,11 @@ def cmd_obs_diff(path_a: str, path_b: str, patterns=None,
 def _telemetry_file(directory: str, name: str) -> str:
     """``<dir>/<name>`` or ``<dir>/obs/<name>`` — soaks write their
     telemetry next to the summary, traced runs under ``obs/``."""
-    import os as _os
-
     from .obs.runtime import OBS_DIRNAME
 
-    for candidate in (directory, _os.path.join(directory, OBS_DIRNAME)):
-        path = _os.path.join(candidate, name)
-        if _os.path.exists(path):
+    for candidate in (directory, os.path.join(directory, OBS_DIRNAME)):
+        path = os.path.join(candidate, name)
+        if os.path.exists(path):
             return path
     raise FileNotFoundError(
         f"no {name} under {directory} (directly or in "
@@ -854,18 +826,15 @@ def cmd_obs_tail(directory: str, as_json: bool = False) -> "tuple[str, int]":
     any crash flight-recorder dumps.  ``EXIT_FAILED`` (via the
     dispatcher) when the run recorded no telemetry.
     """
-    import json as _json
-    import os as _os
-
     from .obs.flightrec import load_flight_dumps
     from .obs.runtime import OBS_DIRNAME
     from .obs.stream import TELEMETRY_NAME
 
     path = _telemetry_file(directory, TELEMETRY_NAME)
     with open(path, "r", encoding="utf-8") as f:
-        snapshot = _json.load(f)
+        snapshot = json.load(f)
     if as_json:
-        return _json.dumps(snapshot, indent=1, sort_keys=True), EXIT_OK
+        return json.dumps(snapshot, indent=1, sort_keys=True), EXIT_OK
     lines = [
         f"obs tail: {path}",
         f"  {snapshot.get('events', 0)} event(s) from "
@@ -888,7 +857,7 @@ def cmd_obs_tail(directory: str, as_json: bool = False) -> "tuple[str, int]":
                 f"    peak window {peak['window']}: "
                 f"{peak['sum']:g} from {peak['source']}")
     dumps = []
-    for candidate in (directory, _os.path.join(directory, OBS_DIRNAME)):
+    for candidate in (directory, os.path.join(directory, OBS_DIRNAME)):
         dumps = load_flight_dumps(candidate)
         if dumps:
             break
@@ -912,15 +881,13 @@ def cmd_obs_alerts(directory: str,
     any alert fired (CI treats a firing like a degraded soak), and
     ``EXIT_FAILED`` (via the dispatcher) when no alert log exists.
     """
-    import json as _json
-
     from .obs.alerts import ALERTS_NAME, load_alert_log, render_alert_log
 
     path = _telemetry_file(directory, ALERTS_NAME)
     payload = load_alert_log(path)
     code = EXIT_DEGRADED if payload.get("firings", 0) else EXIT_OK
     if as_json:
-        return _json.dumps(payload, indent=1, sort_keys=True), code
+        return json.dumps(payload, indent=1, sort_keys=True), code
     return f"obs alerts: {path}\n" + render_alert_log(payload), code
 
 
@@ -932,18 +899,15 @@ def cmd_obs_trend(results_dir: str, label=None, write: bool = True,
     fold gains no history entry, so re-running after an unchanged
     bench refresh leaves the trend file byte-identical.
     """
-    import json as _json
-    import os as _os
-
     from .obs import trend as obs_trend
 
-    if not _os.path.isdir(results_dir):
+    if not os.path.isdir(results_dir):
         raise FileNotFoundError(f"no results directory {results_dir}")
     trend, folded = obs_trend.fold_trend(results_dir, label=label)
     if write:
         obs_trend.write_trend(results_dir, trend)
     if as_json:
-        return _json.dumps(trend, indent=1, sort_keys=True), EXIT_OK
+        return json.dumps(trend, indent=1, sort_keys=True), EXIT_OK
     output = obs_trend.render_trend(trend)
     output += ("\n  folded new entry for: " + ", ".join(folded)
                if folded else "\n  no figure changed — trend untouched")
@@ -953,14 +917,6 @@ def cmd_obs_trend(results_dir: str, label=None, write: bool = True,
 # ----------------------------------------------------------------------
 # server verbs
 # ----------------------------------------------------------------------
-
-def _server_chaos(chaos: "Optional[str]", chaos_seed: int):
-    if not chaos:
-        return None
-    from .campaign.chaos import ChaosConfig
-
-    return ChaosConfig.parse(chaos, seed=chaos_seed)
-
 
 def cmd_server_enroll(store_dir: str, tags: int = 10000,
                       shard_size: int = 65536, seed: int = 2013,
@@ -977,7 +933,7 @@ def cmd_server_enroll(store_dir: str, tags: int = 10000,
     spec = EnrollmentSpec(tags=tags, curve=curve, shard_size=shard_size,
                           seed=seed)
     report = enroll_fleet(store_dir, spec, workers=workers,
-                          chaos=_server_chaos(chaos, chaos_seed))
+                          chaos=_chaos_config(chaos, chaos_seed))
     lines = [
         f"fleet {spec.digest()[:12]}: {report.tags} tags over "
         f"{report.shards_total} shard(s) in {report.directory}",
@@ -1028,21 +984,15 @@ def cmd_server_soak(directory: str, spec, workers=None, chaos=None,
     """
     from .server import run_soak
 
-    obs_dir = os.path.join(str(directory), "obs") \
-        if (obs or obs_profile) else None
-    with _obs_session(obs_dir, kind="server-soak", seed=spec.seed,
+    with _obs_session(_obs_dir(directory, obs, obs_profile),
+                      kind="server-soak", seed=spec.seed,
                       config_digest=spec.digest(), profile=obs_profile,
                       argv=["server", "soak", "--dir", str(directory)]):
         report = run_soak(directory, spec, workers=workers,
-                          chaos=_server_chaos(chaos, chaos_seed))
-    output = report.text()
-    if report.sessions and report.acceptance_rate < min_acceptance:
-        output += (f"\n  FAILED: acceptance {report.acceptance_rate:.1%}"
-                   f" below the floor {min_acceptance:.1%}")
-        return output, EXIT_FAILED
-    if report.outcome == "degraded":
-        return output, EXIT_DEGRADED
-    return output, EXIT_OK
+                          chaos=_chaos_config(chaos, chaos_seed))
+    return _soak_verdict(report.text(), "acceptance", report.sessions,
+                         report.acceptance_rate, min_acceptance,
+                         report.outcome == "degraded")
 
 
 def cmd_server_run(spec, metrics_port=None, serve_seconds: float = 0.0,
@@ -1163,25 +1113,6 @@ def cmd_attack_run(adversary: str = "amplification", defenses=None,
     return "\n".join(lines)
 
 
-def _attack_spec_from_args(args) -> "object":
-    from .adversary import AttackSpec
-
-    return AttackSpec(
-        adversary=args.adversary,
-        defense=args.defense,
-        sessions=args.sessions,
-        cohorts=args.cohorts,
-        legit_fraction=args.legit_fraction,
-        arrival_rate=args.rate,
-        frame_loss=args.loss,
-        seed=args.seed,
-        curve=args.curve,
-        distance_m=args.distance,
-        budget_cap_uj=args.budget_cap,
-        budget_window_s=args.budget_window,
-    )
-
-
 def cmd_attack_soak(directory: str, spec, workers=None, chaos=None,
                     chaos_seed: int = 0,
                     min_legit_success: float = 0.0,
@@ -1194,23 +1125,15 @@ def cmd_attack_soak(directory: str, spec, workers=None, chaos=None,
     """
     from .adversary import run_attack_soak
 
-    obs_dir = os.path.join(str(directory), "obs") \
-        if (obs or obs_profile) else None
-    with _obs_session(obs_dir, kind="attack-soak", seed=spec.seed,
+    with _obs_session(_obs_dir(directory, obs, obs_profile),
+                      kind="attack-soak", seed=spec.seed,
                       config_digest=spec.digest(), profile=obs_profile,
                       argv=["attack", "soak", "--dir", str(directory)]):
         report = run_attack_soak(directory, spec, workers=workers,
-                                 chaos=_server_chaos(chaos, chaos_seed))
-    output = report.text()
-    if (report.legit_sessions
-            and report.legit_success_rate < min_legit_success):
-        output += (f"\n  FAILED: legit success "
-                   f"{report.legit_success_rate:.1%} below the floor "
-                   f"{min_legit_success:.1%}")
-        return output, EXIT_FAILED
-    if report.outcome == "degraded":
-        return output, EXIT_DEGRADED
-    return output, EXIT_OK
+                                 chaos=_chaos_config(chaos, chaos_seed))
+    return _soak_verdict(report.text(), "legit success",
+                         report.legit_sessions, report.legit_success_rate,
+                         min_legit_success, report.outcome == "degraded")
 
 
 def cmd_power_run(curve: str = "TOY-B17", seed: int = 2013,
@@ -1232,6 +1155,12 @@ def cmd_power_run(curve: str = "TOY-B17", seed: int = 2013,
     spec = IntermittentSpec(curve=curve, seed=seed,
                             checkpoint_interval=interval)
     base = run_intermittent_session(spec, session)
+
+    def verdict(result):
+        if result.completed and result.outcome_digest == base.outcome_digest:
+            return "IDENTICAL"
+        return result.abort_reason or "DIVERGED"
+
     lines = [
         f"intermittent session {session} on {curve}, seed {seed}, "
         f"checkpoint every {interval} ladder steps",
@@ -1246,24 +1175,16 @@ def cmd_power_run(curve: str = "TOY-B17", seed: int = 2013,
         sched = PowerCutSchedule.seeded(index, session, cuts,
                                         mean_on_cycles=on_cycles)
         result = run_with_schedule(spec, session, sched)
-        verdict = "IDENTICAL" if (result.completed and
-                                  result.outcome_digest
-                                  == base.outcome_digest) else (
-            result.abort_reason or "DIVERGED")
         lines.append(
             f"    cut-seed {index}: {result.power_cycles} cut(s), "
             f"{result.steps_wasted} step(s) re-executed, "
             f"{result.torn_discards} torn record(s) discarded "
-            f"-> {verdict}")
+            f"-> {verdict(result)}")
     scheds = adversarial_schedules(probe_timeline(spec, session))
     lines.append(f"  {len(scheds)} adversarially aimed cut(s):")
     for label in sorted(scheds):
         result = run_with_schedule(spec, session, scheds[label])
-        verdict = "IDENTICAL" if (result.completed and
-                                  result.outcome_digest
-                                  == base.outcome_digest) else (
-            result.abort_reason or "DIVERGED")
-        lines.append(f"    before {label:<22} -> {verdict}")
+        lines.append(f"    before {label:<22} -> {verdict(result)}")
     if attack:
         from .adversary.fieldcut import run_fieldcut_attack
 
@@ -1286,84 +1207,155 @@ def cmd_power_soak(directory: str, spec, workers=None,
     completion floor held, ``EXIT_FAILED`` when the floor broke or a
     session died unclean.
     """
-    import json as _json
-
     from .obs.integration import fleet_spec_digest
-    from .obs.metrics import atomic_write_bytes
     from .protocols.fleet import run_power_soak
 
     directory = str(directory)
     os.makedirs(directory, exist_ok=True)
-    obs_dir = os.path.join(directory, "obs") \
-        if (obs or obs_profile) else None
-    with _obs_session(obs_dir, kind="power-soak", seed=spec.seed,
+    with _obs_session(_obs_dir(directory, obs, obs_profile),
+                      kind="power-soak", seed=spec.seed,
                       config_digest=fleet_spec_digest(spec),
                       profile=obs_profile,
                       argv=["power", "soak", "--dir", directory]):
         report = run_power_soak(spec, workers=workers)
-    payload = _json.dumps(report.summary_payload(), indent=1,
-                          sort_keys=True).encode()
-    summary_path = os.path.join(directory, "summary.json")
-    atomic_write_bytes(summary_path, payload)
+    summary_path = _write_summary(directory, report)
     output = report.summary() + f"\n  wrote {summary_path}"
     if not report.all_clean:
         return (output + "\n  FAILED: a session died without a typed "
                 "abort", EXIT_FAILED)
-    fraction = report.completed / report.sessions
-    if fraction < min_completed:
-        return (output + f"\n  FAILED: completion {fraction:.1%} below "
-                f"the floor {min_completed:.1%}", EXIT_FAILED)
-    if report.completed < report.sessions:
-        return output, EXIT_DEGRADED
-    return output, EXIT_OK
+    return _soak_verdict(output, "completion", report.sessions,
+                         report.completed / report.sessions, min_completed,
+                         report.completed < report.sessions)
 
 
-def _power_soak_spec_from_args(args) -> "object":
-    from .protocols.fleet import PowerSoakSpec
+# ----------------------------------------------------------------------
+# parser and dispatch
+# ----------------------------------------------------------------------
 
-    return PowerSoakSpec(
-        curve=args.curve,
-        sessions=args.sessions,
-        seed=args.seed,
-        cut_seed=args.cut_seed,
-        cuts=args.cuts,
-        mean_on_cycles=args.on_cycles,
-        checkpoint_interval=args.interval,
-        max_power_cycles=args.max_power_cycles,
-    )
+def _comma_list(item):
+    """An argparse ``type=`` parsing ``a,b,c`` into a list of ``item``.
+
+    Empty items are skipped; a malformed item is a usage error
+    ("invalid comma-separated int value"), not a traceback.
+    """
+    def convert(text):
+        return [item(part) for part in text.split(",") if part]
+
+    convert.__name__ = f"comma-separated {item.__name__}"
+    return convert
 
 
-def main(argv=None) -> int:
-    """Entry point; returns a process exit code."""
+INTS, FLOATS, NAMES = _comma_list(int), _comma_list(float), _comma_list(str)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The whole ``repro`` parser.
+
+    Each option family shared by several verbs is declared once, on an
+    ``add_help=False`` parent, and attached with ``parents=``.  argparse
+    shares a parent's action objects between the verbs, so a family's
+    default must never be varied per verb (no ``set_defaults``): an
+    option whose default differs by verb is declared on each verb.
+    """
+    def family(*flags, **kwargs):
+        """A parent parser whose first option is ``flags``."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*flags, **kwargs)
+        return parent
+
+    run_dir = family("--dir", required=True,
+                     help="the verb's directory (campaign, exploration, "
+                          "fleet store, soak output or traced run)")
+    workers = family("--workers", type=int, default=None,
+                     help="worker processes (default: cores, max 8; "
+                          "0 = in-process where supported)")
+    quiet = family("--quiet", action="store_true")
+    as_json = family("--json", action="store_true",
+                     help="machine-readable output")
+    chaos = family("--chaos", default=None, metavar="SPEC",
+                   help="inject deterministic faults, e.g. "
+                        "'crash=0.4,corrupt=0.25' (tests/CI only)")
+    chaos.add_argument("--chaos-seed", type=int, default=0)
+    traced = family("--obs", action="store_true",
+                    help="trace the run into <dir>/obs "
+                         "(spans, metrics, manifest)")
+    traced.add_argument("--obs-profile", action="store_true",
+                        help="--obs plus perf_counter hot-path timers")
+    traced_to = family("--obs-dir", default=None,
+                       help="trace the run into this directory")
+    traced_to.add_argument("--obs-profile", action="store_true",
+                           help="also time the hot paths (needs --obs-dir)")
+    supervised = family("--shard-timeout", type=float, default=None,
+                        help="watchdog seconds per shard or cell "
+                             "attempt (worker processes only)")
+    supervised.add_argument("--max-attempts", type=int, default=None,
+                            help="attempts per shard or cell before "
+                                 "quarantine")
+    distance = family("--distance", type=float, default=0.5,
+                      help="radio distance in meters (sets the BER)")
+    loss = family("--loss", type=float, default=0.1,
+                  help="frame-loss probability")
+    sweep = family("--sweep", type=FLOATS, default=None,
+                   help="comma-separated frame-loss rates "
+                        "(default 0,0.05,0.1,0.2)")
+    toy_curve = family("--curve", default="TOY-B17",
+                       help="named curve (TOY-B17, K-163, B-163)")
+    protocols = family("--protocol", default="peeters-hermans",
+                       choices=("peeters-hermans", "schnorr",
+                                "mutual-auth"))
+    cuts = family("--cuts", type=int, default=3,
+                  help="power cuts per schedule (per session on soak)")
+    cuts.add_argument("--on-cycles", type=int, default=8000,
+                      help="mean power-on window (cycles)")
+    cuts.add_argument("--interval", type=int, default=8,
+                      help="ladder steps between checkpoints")
+    cohort = family("--store", required=True,
+                    help="enrolled fleet directory")
+    cohort.add_argument("--sessions", type=int, default=200,
+                        help="sessions per cohort")
+    cohort.add_argument("--rate", type=float, default=2000.0,
+                        help="mean session arrivals per virtual second")
+    cohort.add_argument("--seed", type=int, default=2013)
+    cohort.add_argument("--capacity", type=int, default=256,
+                        help="concurrent sessions before queueing")
+    cohort.add_argument("--admission-queue", type=int, default=64,
+                        help="queued admissions before shedding")
+    cohort.add_argument("--deadline", type=float, default=2.0,
+                        help="per-session deadline (virtual seconds)")
+    cohort.add_argument("--search", default="cached",
+                        choices=("cached", "uncached"),
+                        help="identification search mode")
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="DAC 2013 low-energy ECC coprocessor reproduction",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("info", help="design-point summary")
-    sub.add_parser("energy", help="calibrated operating-point report")
-    sub.add_parser("area", help="gate-count table")
-    listing = sub.add_parser("listing", help="microcode listing")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    def group(name, help):
+        """A command group; returns its ``verb(name, help, *parents)``."""
+        verbs = commands.add_parser(name, help=help).add_subparsers(
+            dest="verb", required=True)
+        return lambda verb, help, *parents: verbs.add_parser(
+            verb, help=help, parents=list(parents))
+
+    commands.add_parser("info", help="design-point summary")
+    commands.add_parser("energy", help="calibrated operating-point report")
+    commands.add_parser("area", help="gate-count table")
+    listing = commands.add_parser("listing", help="microcode listing")
     listing.add_argument("--limit", type=int, default=40)
-    evaluate = sub.add_parser("evaluate", help="white-box attack battery")
+    evaluate = commands.add_parser("evaluate", help="white-box attack battery")
     evaluate.add_argument("--weak", action="store_true",
                           help="evaluate the unprotected strawman")
     evaluate.add_argument("--traces", type=int, default=80)
     evaluate.add_argument("--seed", type=int, default=2013,
                           help="master seed of the whole evaluation")
 
-    campaign = sub.add_parser(
-        "campaign", help="trace-acquisition / attack campaign engine"
-    )
-    verbs = campaign.add_subparsers(dest="verb", required=True)
-
-    acquire = verbs.add_parser("acquire",
-                               help="acquire (or resume) a campaign")
-    acquire.add_argument("--dir", required=True, help="campaign directory")
+    campaign = group("campaign", "trace-acquisition / attack campaign engine")
+    acquire = campaign("acquire", "acquire (or resume) a campaign",
+                       run_dir, workers, quiet, supervised, chaos, traced)
     acquire.add_argument("--traces", type=int, default=256)
     acquire.add_argument("--shard-size", type=int, default=64)
-    acquire.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: cores, max 8)")
     acquire.add_argument("--scenario", default="protected",
                          choices=("unprotected", "known_randomness",
                                   "protected"))
@@ -1375,74 +1367,46 @@ def main(argv=None) -> int:
                          action="store_const", const=None,
                          help="acquire full point multiplications")
     acquire.add_argument("--noise", type=float, default=38.0)
-    acquire.add_argument("--quiet", action="store_true")
-    acquire.add_argument("--shard-timeout", type=float, default=None,
-                         help="watchdog seconds per shard attempt "
-                              "(worker processes only)")
-    acquire.add_argument("--max-attempts", type=int, default=None,
-                         help="attempts per shard before quarantine")
-    acquire.add_argument("--chaos", default=None, metavar="SPEC",
-                         help="inject deterministic faults, e.g. "
-                              "'crash=0.4,corrupt=0.25' (tests/CI only)")
-    acquire.add_argument("--chaos-seed", type=int, default=0)
-    acquire.add_argument("--chaos-shards", default=None,
+    acquire.add_argument("--chaos-shards", type=INTS, default=None,
                          help="comma-separated shard indices the chaos "
                               "faults apply to (default: all)")
     acquire.add_argument("--curve", default="K-163",
                          help="named curve (K-163, B-163, TOY-B17)")
-    acquire.add_argument("--obs", action="store_true",
-                         help="trace the run into <dir>/obs "
-                              "(spans, metrics, manifest)")
-    acquire.add_argument("--obs-profile", action="store_true",
-                         help="--obs plus perf_counter hot-path timers")
-
-    status = verbs.add_parser("status", help="manifest summary")
-    status.add_argument("--dir", required=True)
-
-    attack = verbs.add_parser("attack", help="streaming attack on a "
-                                             "campaign directory")
-    attack.add_argument("--dir", required=True)
+    campaign("status", "manifest summary", run_dir)
+    attack = campaign("attack", "streaming attack on a campaign directory",
+                      run_dir)
     attack.add_argument("--attack", default="dpa",
                         choices=("dpa", "cpa", "spa"))
     attack.add_argument("--bits", type=int, default=2)
-    attack.add_argument("--grid", default=None,
+    attack.add_argument("--grid", type=INTS, default=None,
                         help="comma-separated traces-to-disclosure grid")
     attack.add_argument("--verify", action="store_true",
                         help="digest-check every shard before reading")
     attack.add_argument("--allow-partial", action="store_true",
                         help="attack an incomplete store (the report "
                              "states which shards backed the statistics)")
-
-    doctor = verbs.add_parser(
-        "doctor", help="inspect failures.jsonl and the quarantine"
-    )
-    doctor.add_argument("--dir", required=True)
+    doctor = campaign("doctor", "inspect failures.jsonl and the quarantine",
+                      run_dir)
     doctor.add_argument("--clear", action="store_true",
                         help="release quarantined shards for re-acquire")
     doctor.add_argument("--last", type=int, default=10,
                         help="failure events to show (most recent)")
 
-    dse = sub.add_parser(
-        "dse", help="design-space exploration with a security axis"
-    )
-    dverbs = dse.add_subparsers(dest="verb", required=True)
-
-    explore = dverbs.add_parser(
-        "explore", help="measure a design space and compute its front"
-    )
-    explore.add_argument("--dir", required=True,
-                         help="exploration directory (measurement cache, "
-                              "space.json, points.json, pareto.json)")
-    explore.add_argument("--digits", default="1,2,4,8,16",
+    dse = group("dse", "design-space exploration with a security axis")
+    explore = dse("explore", "measure a design space and compute its front",
+                  run_dir, workers, quiet, supervised, traced)
+    explore.add_argument("--digits", type=INTS, default="1,2,4,8,16",
                          help="comma-separated digit sizes")
-    explore.add_argument("--vdd", default="0.8,1.0,1.2",
+    explore.add_argument("--vdd", type=FLOATS, default="0.8,1.0,1.2",
                          help="comma-separated core voltages")
-    explore.add_argument("--freq", default="100e3,847.5e3,4e6",
+    explore.add_argument("--freq", type=FLOATS,
+                         default="100e3,847.5e3,4e6",
                          help="comma-separated clock frequencies in Hz")
-    explore.add_argument("--countermeasures", default="full,none",
+    explore.add_argument("--countermeasures", type=NAMES,
+                         default="full,none",
                          help="comma-separated countermeasure sets "
                               "(full, no-rpc, unbalanced-mux, none)")
-    explore.add_argument("--backends", default="",
+    explore.add_argument("--backends", type=NAMES, default="",
                          help="comma-separated crypto-backend axis "
                               "(ecc, simon-aead, sha1-aead, "
                               "hybrid:<epoch>, "
@@ -1463,108 +1427,49 @@ def main(argv=None) -> int:
     explore.add_argument("--min-security", type=float, default=1.0,
                          help="security-score floor in [0,1] "
                               "(negative disables)")
-    explore.add_argument("--objectives",
+    explore.add_argument("--objectives", type=NAMES,
                          default="area_energy,power,security",
                          help="comma-separated objectives (area, cycles, "
                               "latency, power, energy, area_energy, "
                               "security; energy_per_message with "
                               "--backends)")
-    explore.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: cores, max 8)")
-    explore.add_argument("--quiet", action="store_true")
-    explore.add_argument("--shard-timeout", type=float, default=None,
-                         help="watchdog seconds per measurement attempt "
-                              "(worker processes only)")
-    explore.add_argument("--max-attempts", type=int, default=None,
-                         help="attempts per cell before quarantine")
-    explore.add_argument("--obs", action="store_true",
-                         help="trace the run into <dir>/obs")
-    explore.add_argument("--obs-profile", action="store_true",
-                         help="--obs plus perf_counter hot-path timers")
+    pareto = dse("pareto", "re-rank an explored directory (no simulation)",
+                 run_dir, as_json)
+    pareto.add_argument("--objectives", type=NAMES, default=None,
+                        help="override the spec's objectives")
+    pareto.add_argument("--max-latency-ms", type=float, default=None,
+                        help="override the latency constraint "
+                             "(0 disables)")
+    pareto.add_argument("--max-area-ge", type=float, default=None,
+                        help="override the gate budget")
+    pareto.add_argument("--min-security", type=float, default=None,
+                        help="override the security floor "
+                             "(negative disables)")
+    dse("report", "the full evaluated grid of a directory", run_dir, as_json)
 
-    dpareto = dverbs.add_parser(
-        "pareto", help="re-rank an explored directory (no simulation)"
-    )
-    dpareto.add_argument("--dir", required=True)
-    dpareto.add_argument("--objectives", default=None,
-                         help="override the spec's objectives")
-    dpareto.add_argument("--max-latency-ms", type=float, default=None,
-                         help="override the latency constraint "
-                              "(0 disables)")
-    dpareto.add_argument("--max-area-ge", type=float, default=None,
-                         help="override the gate budget")
-    dpareto.add_argument("--min-security", type=float, default=None,
-                         help="override the security floor "
-                              "(negative disables)")
-    dpareto.add_argument("--json", action="store_true",
-                         help="machine-readable front")
-
-    dreport = dverbs.add_parser(
-        "report", help="the full evaluated grid of a directory"
-    )
-    dreport.add_argument("--dir", required=True)
-    dreport.add_argument("--json", action="store_true",
-                         help="dump points.json verbatim")
-
-    protocol = sub.add_parser(
-        "protocol", help="resilient sessions over the lossy channel"
-    )
-    pverbs = protocol.add_subparsers(dest="verb", required=True)
-
-    prun = pverbs.add_parser("run", help="narrate a few sessions")
-    prun.add_argument("--protocol", default="peeters-hermans",
-                      choices=("peeters-hermans", "schnorr",
-                               "mutual-auth"))
-    prun.add_argument("--curve", default="TOY-B17")
-    prun.add_argument("--loss", type=float, default=0.1,
-                      help="frame-loss probability")
+    protocol = group("protocol", "resilient sessions over the lossy channel")
+    prun = protocol("run", "narrate a few sessions",
+                    protocols, toy_curve, loss, distance, traced_to)
     prun.add_argument("--sessions", type=int, default=5)
     prun.add_argument("--seed", type=int, default=2013)
-    prun.add_argument("--distance", type=float, default=0.5,
-                      help="radio distance in meters (sets the BER)")
     prun.add_argument("--events", action="store_true",
                       help="print the per-frame event log")
-    prun.add_argument("--obs-dir", default=None,
-                      help="trace the sessions into this directory")
-    prun.add_argument("--obs-profile", action="store_true",
-                      help="also time the hot paths (needs --obs-dir)")
-
-    psoak = pverbs.add_parser(
-        "soak", help="availability/energy sweep over loss rates"
-    )
-    psoak.add_argument("--protocol", default="peeters-hermans",
-                       choices=("peeters-hermans", "schnorr",
-                                "mutual-auth"))
-    psoak.add_argument("--curve", default="TOY-B17")
+    psoak = protocol("soak", "availability/energy sweep over loss rates",
+                     protocols, toy_curve, sweep, distance, workers, quiet,
+                     traced_to)
     psoak.add_argument("--sessions", type=int, default=1000,
                        help="sessions per sweep point")
     psoak.add_argument("--seed", type=int, default=2013)
-    psoak.add_argument("--sweep", default=None,
-                       help="comma-separated frame-loss rates "
-                            "(default 0,0.05,0.1,0.2)")
-    psoak.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: cores, max 8; "
-                            "0 = in-process)")
-    psoak.add_argument("--distance", type=float, default=0.5)
     psoak.add_argument("--min-availability", type=float, default=0.99,
                        help="floor below which the soak FAILS "
                             "(above it but short of 100%% = degraded)")
-    psoak.add_argument("--quiet", action="store_true")
-    psoak.add_argument("--obs-dir", default=None,
-                       help="trace the soak into this directory")
-    psoak.add_argument("--obs-profile", action="store_true",
-                       help="also time the hot paths (needs --obs-dir)")
-
-    pamort = pverbs.add_parser(
-        "amortize",
-        help="epoch-amortized sessions: one handshake per epoch, "
-             "symmetric AEAD per message",
-    )
+    pamort = protocol("amortize", "epoch-amortized sessions: one handshake "
+                      "per epoch, symmetric AEAD per message",
+                      toy_curve, sweep, distance, workers, quiet, traced_to)
     pamort.add_argument("--protocol", default="peeters-hermans",
                         choices=("peeters-hermans", "schnorr"))
     pamort.add_argument("--backend", default="simon-aead",
                         choices=("simon-aead", "sha1-aead"))
-    pamort.add_argument("--curve", default="TOY-B17")
     pamort.add_argument("--epoch", type=int, default=16,
                         help="messages per handshake (the "
                              "forward-secrecy window)")
@@ -1573,13 +1478,6 @@ def main(argv=None) -> int:
     pamort.add_argument("--sessions", type=int, default=8,
                         help="sessions per sweep point")
     pamort.add_argument("--seed", type=int, default=2013)
-    pamort.add_argument("--sweep", default=None,
-                        help="comma-separated frame-loss rates "
-                             "(default 0,0.05,0.1,0.2)")
-    pamort.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: cores, max "
-                             "8; 0 = in-process)")
-    pamort.add_argument("--distance", type=float, default=0.5)
     pamort.add_argument("--min-delivery", type=float, default=0.95,
                         help="delivery floor below which the run "
                              "FAILS (above it but short of 100%% = "
@@ -1587,37 +1485,19 @@ def main(argv=None) -> int:
     pamort.add_argument("--dir", default=None,
                         help="write the worker-invariant "
                              "summary.json here")
-    pamort.add_argument("--quiet", action="store_true")
-    pamort.add_argument("--obs-dir", default=None,
-                        help="trace the run into this directory")
-    pamort.add_argument("--obs-profile", action="store_true",
-                        help="also time the hot paths (needs "
-                             "--obs-dir)")
 
-    obs = sub.add_parser(
-        "obs", help="observability reports over a traced run"
-    )
-    overbs = obs.add_subparsers(dest="verb", required=True)
-
-    oreport = overbs.add_parser(
-        "report", help="span/energy/metric report of one run"
-    )
-    oreport.add_argument("--dir", required=True,
-                         help="run directory (or its obs/ subdir)")
-    oreport.add_argument("--json", action="store_true",
-                         help="machine-readable report")
+    obs = group("obs", "observability reports over a traced run")
+    oreport = obs("report", "span/energy/metric report of one run",
+                  run_dir, as_json)
     oreport.add_argument("--top", type=int, default=10,
                          help="slowest spans to list")
-    oreport.add_argument("--require-spans", default=None,
+    oreport.add_argument("--require-spans", type=NAMES, default=None,
                          help="comma-separated span names that must "
                               "appear (exit 1 otherwise)")
-    oreport.add_argument("--require-metrics", default=None,
+    oreport.add_argument("--require-metrics", type=NAMES, default=None,
                          help="comma-separated metric families that "
                               "must appear (exit 1 otherwise)")
-
-    odiff = overbs.add_parser(
-        "diff", help="metric regression table between two runs"
-    )
+    odiff = obs("diff", "metric regression table between two runs")
     odiff.add_argument("a", help="baseline: run dir, obs dir or "
                                  "metrics.json")
     odiff.add_argument("b", help="candidate: run dir, obs dir or "
@@ -1630,26 +1510,12 @@ def main(argv=None) -> int:
                        metavar="PCT",
                        help="exit 1 when any metric rose by more than "
                             "this percentage")
-
-    otail = overbs.add_parser(
-        "tail", help="live telemetry snapshot + flight-recorder dumps"
-    )
-    otail.add_argument("--dir", required=True,
-                       help="soak/run directory holding telemetry.json")
-    otail.add_argument("--json", action="store_true",
-                       help="raw snapshot JSON")
-
-    oalerts = overbs.add_parser(
-        "alerts", help="alert log of one soak (exit 3 when any fired)"
-    )
-    oalerts.add_argument("--dir", required=True,
-                         help="soak/run directory holding alerts.json")
-    oalerts.add_argument("--json", action="store_true",
-                         help="raw alert-log JSON")
-
-    otrend = overbs.add_parser(
-        "trend", help="fold BENCH_*.json into the bench trend log"
-    )
+    obs("tail", "live telemetry snapshot + flight-recorder dumps",
+        run_dir, as_json)
+    obs("alerts", "alert log of one soak (exit 3 when any fired)",
+        run_dir, as_json)
+    otrend = obs("trend", "fold BENCH_*.json into the bench trend log",
+                 as_json)
     otrend.add_argument("--results", default="results",
                         help="results directory (default: results/)")
     otrend.add_argument("--label", default=None,
@@ -1657,102 +1523,33 @@ def main(argv=None) -> int:
                              "(e.g. a git rev)")
     otrend.add_argument("--no-write", action="store_true",
                         help="render only; do not update the trend file")
-    otrend.add_argument("--json", action="store_true",
-                        help="raw trend JSON")
 
-    server = sub.add_parser(
-        "server", help="fleet-scale private-identification service"
-    )
-    sverbs = server.add_subparsers(dest="verb", required=True)
-
-    senroll = sverbs.add_parser(
-        "enroll", help="enroll a deterministic tag fleet into shards"
-    )
-    senroll.add_argument("--dir", required=True,
-                         help="fleet store directory")
+    server = group("server", "fleet-scale private-identification service")
+    senroll = server("enroll", "enroll a deterministic tag fleet into shards",
+                     run_dir, toy_curve, workers, chaos)
     senroll.add_argument("--tags", type=int, default=10000)
     senroll.add_argument("--shard-size", type=int, default=65536,
                          help="tags per shard file")
     senroll.add_argument("--seed", type=int, default=2013)
-    senroll.add_argument("--curve", default="TOY-B17")
-    senroll.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: cores, max 8)")
-    senroll.add_argument("--chaos", default=None,
-                         help="fault injection, e.g. "
-                              "'crash=0.3,corrupt=0.2'")
-    senroll.add_argument("--chaos-seed", type=int, default=0)
-
-    ssoak = sverbs.add_parser(
-        "soak", help="supervised multi-cohort soak against a fleet"
-    )
-    ssoak.add_argument("--store", required=True,
-                       help="enrolled fleet directory")
-    ssoak.add_argument("--dir", required=True,
-                       help="soak output directory")
-    ssoak.add_argument("--sessions", type=int, default=200,
-                       help="sessions per cohort")
+    ssoak = server("soak", "supervised multi-cohort soak against a fleet",
+                   cohort, loss, distance, run_dir, workers, chaos, traced)
     ssoak.add_argument("--cohorts", type=int, default=4)
-    ssoak.add_argument("--rate", type=float, default=2000.0,
-                       help="mean session arrivals per virtual second")
-    ssoak.add_argument("--loss", type=float, default=0.1,
-                       help="frame-loss probability")
-    ssoak.add_argument("--seed", type=int, default=2013)
-    ssoak.add_argument("--capacity", type=int, default=256,
-                       help="concurrent sessions before queueing")
-    ssoak.add_argument("--admission-queue", type=int, default=64,
-                       help="queued admissions before shedding")
-    ssoak.add_argument("--deadline", type=float, default=2.0,
-                       help="per-session deadline (virtual seconds)")
-    ssoak.add_argument("--search", default="cached",
-                       choices=("cached", "uncached"),
-                       help="identification search mode")
-    ssoak.add_argument("--distance", type=float, default=0.5,
-                       help="radio distance in meters (sets the BER)")
-    ssoak.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: cores, max 8)")
-    ssoak.add_argument("--chaos", default=None,
-                       help="fault injection, e.g. 'crash=0.3'")
-    ssoak.add_argument("--chaos-seed", type=int, default=0)
     ssoak.add_argument("--min-acceptance", type=float, default=0.9,
                        help="acceptance-rate floor below which the "
                             "soak FAILS")
-    ssoak.add_argument("--obs", action="store_true",
-                       help="trace the soak into <dir>/obs")
-    ssoak.add_argument("--obs-profile", action="store_true",
-                       help="--obs plus perf_counter hot-path timers")
-
-    srun = sverbs.add_parser(
-        "run", help="one in-process cohort with live /metrics"
-    )
-    srun.add_argument("--store", required=True,
-                      help="enrolled fleet directory")
-    srun.add_argument("--sessions", type=int, default=200)
-    srun.add_argument("--rate", type=float, default=2000.0)
-    srun.add_argument("--loss", type=float, default=0.1)
-    srun.add_argument("--seed", type=int, default=2013)
-    srun.add_argument("--capacity", type=int, default=256)
-    srun.add_argument("--admission-queue", type=int, default=64)
-    srun.add_argument("--deadline", type=float, default=2.0)
-    srun.add_argument("--search", default="cached",
-                      choices=("cached", "uncached"))
-    srun.add_argument("--distance", type=float, default=0.5)
+    srun = server("run", "one in-process cohort with live /metrics",
+                  cohort, loss, distance, quiet)
     srun.add_argument("--metrics-port", type=int, default=None,
                       help="serve /metrics on this port while running "
                            "(0 = ephemeral; omit to disable)")
     srun.add_argument("--serve-seconds", type=float, default=0.0,
                       help="keep serving /metrics this long after the "
                            "run so a scrape loop sees the final state")
-    srun.add_argument("--quiet", action="store_true")
 
-    attack_p = sub.add_parser(
-        "attack", help="adversary lab: battery-depletion floods vs "
-                       "energy-budget defenses"
-    )
-    averbs = attack_p.add_subparsers(dest="verb", required=True)
-
-    arun = averbs.add_parser(
-        "run", help="narrate one adversary against each defense posture"
-    )
+    adversary = group("attack", "adversary lab: battery-depletion floods "
+                                "vs energy-budget defenses")
+    arun = adversary("run", "narrate one adversary against each defense "
+                     "posture", loss, toy_curve, distance)
     arun.add_argument("--adversary", default="amplification",
                       help="bogus-flood | replay-flood | amplification | "
                            "abandonment | legit")
@@ -1763,17 +1560,9 @@ def main(argv=None) -> int:
     arun.add_argument("--sessions", type=int, default=6,
                       help="attack sessions per posture")
     arun.add_argument("--seed", type=int, default=7)
-    arun.add_argument("--loss", type=float, default=0.1,
-                      help="frame-loss probability")
-    arun.add_argument("--curve", default="TOY-B17")
-    arun.add_argument("--distance", type=float, default=0.5,
-                      help="radio distance in meters (sets the BER)")
-
-    asoak = averbs.add_parser(
-        "soak", help="supervised multi-cohort flood soak"
-    )
-    asoak.add_argument("--dir", required=True,
-                       help="soak output directory")
+    asoak = adversary("soak", "supervised multi-cohort flood soak",
+                      run_dir, loss, toy_curve, distance, workers, chaos,
+                      traced)
     asoak.add_argument("--adversary", default="mixed",
                        help="mixed | bogus-flood | replay-flood | "
                             "amplification | abandonment")
@@ -1787,114 +1576,212 @@ def main(argv=None) -> int:
                        help="fraction of honest sessions in the mix")
     asoak.add_argument("--rate", type=float, default=40.0,
                        help="mean session arrivals per virtual second")
-    asoak.add_argument("--loss", type=float, default=0.1,
-                       help="frame-loss probability")
     asoak.add_argument("--seed", type=int, default=0)
-    asoak.add_argument("--curve", default="TOY-B17")
-    asoak.add_argument("--distance", type=float, default=0.5)
     asoak.add_argument("--budget-cap", type=float, default=0.0,
                        help="override the posture's per-window budget "
                             "cap (uJ; 0 keeps the posture default)")
     asoak.add_argument("--budget-window", type=float, default=0.0,
                        help="override the budget window (seconds)")
-    asoak.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: cores, max 8)")
-    asoak.add_argument("--chaos", default=None,
-                       help="fault injection, e.g. 'crash=0.3'")
-    asoak.add_argument("--chaos-seed", type=int, default=0)
     asoak.add_argument("--min-legit-success", type=float, default=0.0,
                        help="honest-session success floor below which "
                             "the soak FAILS")
-    asoak.add_argument("--obs", action="store_true",
-                       help="trace the soak into <dir>/obs")
-    asoak.add_argument("--obs-profile", action="store_true",
-                       help="--obs plus perf_counter hot-path timers")
 
-    power = sub.add_parser(
-        "power", help="intermittent power: brownouts, checkpoints, "
-                      "zero nonce reuse"
-    )
-    wverbs = power.add_subparsers(dest="verb", required=True)
-
-    wrun = wverbs.add_parser(
-        "run", help="narrate one session across seeded and "
-                    "adversarial power cuts"
-    )
-    wrun.add_argument("--curve", default="TOY-B17")
+    power = group("power", "intermittent power: brownouts, checkpoints, "
+                           "zero nonce reuse")
+    wrun = power("run", "narrate one session across seeded and "
+                 "adversarial power cuts", toy_curve, cuts)
     wrun.add_argument("--seed", type=int, default=2013)
     wrun.add_argument("--session", type=int, default=0)
-    wrun.add_argument("--cuts", type=int, default=3,
-                      help="cuts per seeded schedule")
-    wrun.add_argument("--on-cycles", type=int, default=8000,
-                      help="mean power-on window (cycles)")
-    wrun.add_argument("--interval", type=int, default=8,
-                      help="ladder steps between checkpoints")
     wrun.add_argument("--schedules", type=int, default=5,
                       help="seeded cut schedules to replay")
     wrun.add_argument("--no-attack", action="store_true",
                       help="skip the field-cutting attack demo")
-
-    wsoak = wverbs.add_parser(
-        "soak", help="fleet soak under seeded power-cut schedules"
-    )
-    wsoak.add_argument("--dir", required=True,
-                       help="soak output directory (summary.json "
-                            "lands here)")
-    wsoak.add_argument("--curve", default="TOY-B17")
+    wsoak = power("soak", "fleet soak under seeded power-cut schedules",
+                  run_dir, toy_curve, cuts, workers, traced)
     wsoak.add_argument("--sessions", type=int, default=50)
     wsoak.add_argument("--seed", type=int, default=2013)
     wsoak.add_argument("--cut-seed", type=int, default=1,
                        help="seed of the cut-placement stream")
-    wsoak.add_argument("--cuts", type=int, default=3,
-                       help="cuts per session")
-    wsoak.add_argument("--on-cycles", type=int, default=8000,
-                       help="mean power-on window (cycles)")
-    wsoak.add_argument("--interval", type=int, default=8,
-                       help="ladder steps between checkpoints")
     wsoak.add_argument("--max-power-cycles", type=int, default=64,
                        help="restarts before a session aborts typed")
-    wsoak.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: cores, max 8; "
-                            "0 = in-process)")
     wsoak.add_argument("--min-completed", type=float, default=1.0,
                        help="completion floor below which the soak "
                             "FAILS")
-    wsoak.add_argument("--obs", action="store_true",
-                       help="trace the soak into <dir>/obs")
-    wsoak.add_argument("--obs-profile", action="store_true",
-                       help="--obs plus perf_counter hot-path timers")
+    return parser
 
-    args = parser.parse_args(argv)
 
-    if args.command == "info":
-        output = cmd_info()
-    elif args.command == "energy":
-        output = cmd_energy()
-    elif args.command == "area":
-        output = cmd_area()
-    elif args.command == "listing":
-        output = cmd_listing(limit=args.limit)
-    elif args.command == "campaign":
-        return _campaign_main(args, argv if argv is not None
-                              else sys.argv[1:])
-    elif args.command == "dse":
-        return _dse_main(args, argv if argv is not None
-                         else sys.argv[1:])
-    elif args.command == "protocol":
-        return _protocol_main(args)
-    elif args.command == "obs":
-        return _obs_main(args)
-    elif args.command == "server":
-        return _server_main(args)
-    elif args.command == "attack":
-        return _attack_main(args)
-    elif args.command == "power":
-        return _power_main(args)
-    else:
-        output = cmd_evaluate(weak=args.weak, traces=args.traces,
-                              seed=args.seed)
+#: ``(command, verb)`` -> the ``cmd_*`` call for the parsed arguments,
+#: specs built in place.
+#: Each lambda looks its ``cmd_*`` up as a module global when it runs,
+#: so a monkeypatched command is the one dispatched.
+_DISPATCH = {
+    ("info", None): lambda a: cmd_info(),
+    ("energy", None): lambda a: cmd_energy(),
+    ("area", None): lambda a: cmd_area(),
+    ("listing", None): lambda a: cmd_listing(limit=a.limit),
+    ("evaluate", None): lambda a: cmd_evaluate(
+        weak=a.weak, traces=a.traces, seed=a.seed),
+    ("campaign", "acquire"): lambda a: cmd_campaign_acquire(
+        a.dir, _resolve("campaign.CampaignSpec")(
+            n_traces=a.traces, shard_size=a.shard_size, scenario=a.scenario,
+            seed=a.seed, max_iterations=None if a.bits is None else a.bits + 1,
+            noise_sigma=a.noise, curve=a.curve),
+        workers=a.workers, quiet=a.quiet, shard_timeout=a.shard_timeout,
+        max_attempts=a.max_attempts, chaos=a.chaos,
+        chaos_seed=a.chaos_seed, chaos_shards=a.chaos_shards or None,
+        obs=a.obs, obs_profile=a.obs_profile),
+    ("campaign", "status"): lambda a: cmd_campaign_status(a.dir),
+    ("campaign", "attack"): lambda a: cmd_campaign_attack(
+        a.dir, attack=a.attack, bits=a.bits, grid=a.grid or None,
+        verify=a.verify, allow_partial=a.allow_partial),
+    ("campaign", "doctor"): lambda a: cmd_campaign_doctor(
+        a.dir, clear=a.clear, last=a.last),
+    ("dse", "explore"): lambda a: cmd_dse_explore(
+        a.dir, _resolve("dse.DesignSpaceSpec")(
+            digit_sizes=a.digits, vdd_volts=a.vdd, frequencies_hz=a.freq,
+            countermeasures=a.countermeasures, backends=a.backends,
+            curve=a.curve, seed=a.seed, whitebox=a.whitebox,
+            whitebox_traces=a.whitebox_traces, objectives=a.objectives,
+            **_constraints(a.max_latency_ms, a.max_area_ge,
+                           a.min_security)),
+        workers=a.workers, quiet=a.quiet,
+        shard_timeout=a.shard_timeout, max_attempts=a.max_attempts,
+        obs=a.obs, obs_profile=a.obs_profile),
+    ("dse", "pareto"): lambda a: cmd_dse_pareto(
+        a.dir, objectives=a.objectives or None,
+        max_latency_ms=a.max_latency_ms, max_area_ge=a.max_area_ge,
+        min_security=a.min_security, as_json=a.json),
+    ("dse", "report"): lambda a: cmd_dse_report(a.dir, as_json=a.json),
+    ("protocol", "run"): lambda a: cmd_protocol_run(
+        protocol=a.protocol, curve=a.curve, loss=a.loss,
+        sessions=a.sessions, seed=a.seed, distance=a.distance,
+        events=a.events, obs_dir=a.obs_dir, obs_profile=a.obs_profile),
+    ("protocol", "soak"): lambda a: cmd_protocol_soak(
+        protocol=a.protocol, curve=a.curve, sessions=a.sessions,
+        seed=a.seed, sweep=a.sweep or None, workers=a.workers,
+        distance=a.distance, min_availability=a.min_availability,
+        quiet=a.quiet, obs_dir=a.obs_dir, obs_profile=a.obs_profile),
+    ("protocol", "amortize"): lambda a: cmd_protocol_amortize(
+        protocol=a.protocol, backend=a.backend, curve=a.curve,
+        epoch=a.epoch, messages=a.messages, sessions=a.sessions,
+        seed=a.seed, sweep=a.sweep or None, workers=a.workers,
+        distance=a.distance, min_delivery=a.min_delivery,
+        directory=a.dir, quiet=a.quiet, obs_dir=a.obs_dir,
+        obs_profile=a.obs_profile),
+    ("obs", "report"): lambda a: cmd_obs_report(
+        a.dir, as_json=a.json, top=a.top,
+        require_spans=a.require_spans or [],
+        require_metrics=a.require_metrics or []),
+    ("obs", "diff"): lambda a: cmd_obs_diff(
+        a.a, a.b, patterns=a.filter, max_regression=a.max_regression),
+    ("obs", "tail"): lambda a: cmd_obs_tail(a.dir, as_json=a.json),
+    ("obs", "alerts"): lambda a: cmd_obs_alerts(a.dir, as_json=a.json),
+    ("obs", "trend"): lambda a: cmd_obs_trend(
+        a.results, label=a.label, write=not a.no_write, as_json=a.json),
+    ("server", "enroll"): lambda a: cmd_server_enroll(
+        a.dir, tags=a.tags, shard_size=a.shard_size, seed=a.seed,
+        curve=a.curve, workers=a.workers, chaos=a.chaos,
+        chaos_seed=a.chaos_seed),
+    ("server", "soak"): lambda a: cmd_server_soak(
+        a.dir, _server_soak_spec(a), workers=a.workers, chaos=a.chaos,
+        chaos_seed=a.chaos_seed, min_acceptance=a.min_acceptance,
+        obs=a.obs, obs_profile=a.obs_profile),
+    ("server", "run"): lambda a: cmd_server_run(
+        _server_soak_spec(a), metrics_port=a.metrics_port,
+        serve_seconds=a.serve_seconds, quiet=a.quiet),
+    ("attack", "run"): lambda a: cmd_attack_run(
+        adversary=a.adversary, defenses=a.defenses, sessions=a.sessions,
+        seed=a.seed, loss=a.loss, curve=a.curve, distance=a.distance),
+    ("attack", "soak"): lambda a: cmd_attack_soak(
+        a.dir, _resolve("adversary.AttackSpec")(
+            adversary=a.adversary, defense=a.defense, sessions=a.sessions,
+            cohorts=a.cohorts, legit_fraction=a.legit_fraction,
+            arrival_rate=a.rate, frame_loss=a.loss, seed=a.seed,
+            curve=a.curve, distance_m=a.distance,
+            budget_cap_uj=a.budget_cap, budget_window_s=a.budget_window),
+        workers=a.workers, chaos=a.chaos, chaos_seed=a.chaos_seed,
+        min_legit_success=a.min_legit_success, obs=a.obs,
+        obs_profile=a.obs_profile),
+    ("power", "run"): lambda a: cmd_power_run(
+        curve=a.curve, seed=a.seed, session=a.session, cuts=a.cuts,
+        on_cycles=a.on_cycles, interval=a.interval,
+        schedules=a.schedules, attack=not a.no_attack),
+    ("power", "soak"): lambda a: cmd_power_soak(
+        a.dir, _resolve("protocols.fleet.PowerSoakSpec")(
+            curve=a.curve, sessions=a.sessions, seed=a.seed,
+            cut_seed=a.cut_seed, cuts=a.cuts, mean_on_cycles=a.on_cycles,
+            checkpoint_interval=a.interval,
+            max_power_cycles=a.max_power_cycles),
+        workers=a.workers, min_completed=a.min_completed, obs=a.obs,
+        obs_profile=a.obs_profile),
+}
+
+_RERUN = ("is deterministic; rerunning the same command reproduces it "
+          "from scratch")
+
+#: The exit contract, one row per command group: the errors reported as
+#: ``<group> error: ...`` with exit 1 (``module.Class`` names, imported
+#: only when the group runs, or builtin names), and the Ctrl-C hint
+#: printed with exit 130 (``None`` lets the interrupt propagate).
+#: ``{resume}`` in a hint is the interrupted command line.  Anything
+#: else propagates, e.g. a campaign ``ValueError`` (a usage error).
+_CONTRACT = {
+    "campaign": (("campaign.CampaignError",),
+                 "progress up to the last completed shard is "
+                 "checkpointed in the manifest;\n"
+                 "resume with: python -m repro {resume}"),
+    "dse": (("dse.DseError",),
+            "completed measurements are cached; "
+            "resume with: python -m repro {resume}"),
+    "protocol": (("ValueError", "KeyError"), "the sweep " + _RERUN),
+    "obs": (("FileNotFoundError",), None),
+    "server": (("server.ServerError", "ValueError", "KeyError"),
+               "enrollment shards and finished cohorts are cached; "
+               "rerunning the same command resumes"),
+    "attack": (("adversary.AdversaryError", "ValueError", "KeyError"),
+               "the flood " + _RERUN),
+    "power": (("intermittent.IntermittentError", "ValueError", "KeyError"),
+              "the soak " + _RERUN),
+}
+
+
+def _resolve(name: str):
+    """``module.Name`` from a repro subpackage, imported on first use so
+    a verb loads only its own subsystem; a bare name is a builtin."""
+    module, _, attr = name.rpartition(".")
+    return getattr(importlib.import_module(f".{module}", __package__)
+                   if module else builtins, attr)
+
+
+def _run(args, argv) -> int:
+    """Run the parsed verb under the 0/1/3/130 exit contract."""
+    names, hint = _CONTRACT.get(args.command, ((), None))
+    errors = tuple(_resolve(name) for name in names)
+    try:
+        result = _DISPATCH[args.command, getattr(args, "verb", None)](args)
+    except KeyboardInterrupt:
+        if hint is None:
+            raise
+        resume = " ".join(argv) if argv else "<the same command>"
+        print("\ninterrupted — " + hint.format(resume=resume),
+              file=sys.stderr)
+        return EXIT_INTERRUPTED
+    except errors as exc:
+        print(f"{args.command} error: {exc}", file=sys.stderr)
+        return EXIT_FAILED
+    output, code = result if isinstance(result, tuple) else (result, EXIT_OK)
     _print(output)
-    return EXIT_OK
+    return code
+
+
+def main(argv=None) -> int:
+    """Entry point; returns a process exit code."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if "obs_dir" in vars(args) and args.obs_profile and not args.obs_dir:
+        parser.error(f"{args.command} {args.verb}: --obs-profile needs "
+                     "--obs-dir")
+    return _run(args, sys.argv[1:] if argv is None else argv)
 
 
 def _print(output: str) -> None:
@@ -1902,275 +1789,3 @@ def _print(output: str) -> None:
         print(output)
     except BrokenPipeError:  # e.g. piped into `head`
         pass
-
-
-def _obs_main(args) -> int:
-    """Dispatch an ``obs`` verb under the exit-code contract."""
-    try:
-        if args.verb == "report":
-            output, code = cmd_obs_report(
-                args.dir, as_json=args.json, top=args.top,
-                require_spans=[s for s in
-                               (args.require_spans or "").split(",") if s],
-                require_metrics=[s for s in
-                                 (args.require_metrics or "").split(",")
-                                 if s],
-            )
-        elif args.verb == "diff":
-            output, code = cmd_obs_diff(
-                args.a, args.b, patterns=args.filter,
-                max_regression=args.max_regression,
-            )
-        elif args.verb == "tail":
-            output, code = cmd_obs_tail(args.dir, as_json=args.json)
-        elif args.verb == "alerts":
-            output, code = cmd_obs_alerts(args.dir, as_json=args.json)
-        else:
-            output, code = cmd_obs_trend(
-                args.results, label=args.label,
-                write=not args.no_write, as_json=args.json,
-            )
-    except FileNotFoundError as exc:
-        print(f"obs error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    _print(output)
-    return code
-
-
-def _protocol_main(args) -> int:
-    """Dispatch a ``protocol`` verb under the exit-code contract."""
-    code = EXIT_OK
-    try:
-        if args.verb == "run":
-            output = cmd_protocol_run(
-                protocol=args.protocol, curve=args.curve, loss=args.loss,
-                sessions=args.sessions, seed=args.seed,
-                distance=args.distance, events=args.events,
-                obs_dir=args.obs_dir, obs_profile=args.obs_profile,
-            )
-        elif args.verb == "amortize":
-            sweep = None
-            if args.sweep:
-                sweep = [float(s) for s in args.sweep.split(",") if s]
-            output, code = cmd_protocol_amortize(
-                protocol=args.protocol, backend=args.backend,
-                curve=args.curve, epoch=args.epoch,
-                messages=args.messages, sessions=args.sessions,
-                seed=args.seed, sweep=sweep, workers=args.workers,
-                distance=args.distance,
-                min_delivery=args.min_delivery, directory=args.dir,
-                quiet=args.quiet, obs_dir=args.obs_dir,
-                obs_profile=args.obs_profile,
-            )
-        else:
-            sweep = None
-            if args.sweep:
-                sweep = [float(s) for s in args.sweep.split(",") if s]
-            output, code = cmd_protocol_soak(
-                protocol=args.protocol, curve=args.curve,
-                sessions=args.sessions, seed=args.seed, sweep=sweep,
-                workers=args.workers, distance=args.distance,
-                min_availability=args.min_availability, quiet=args.quiet,
-                obs_dir=args.obs_dir, obs_profile=args.obs_profile,
-            )
-    except KeyboardInterrupt:
-        print("\ninterrupted — the sweep is deterministic; rerunning "
-              "the same command reproduces it from scratch",
-              file=sys.stderr)
-        return EXIT_INTERRUPTED
-    except (ValueError, KeyError) as exc:
-        print(f"protocol error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    _print(output)
-    return code
-
-
-def _server_main(args) -> int:
-    """Dispatch a ``server`` verb under the exit-code contract."""
-    from .server import ServerError
-
-    code = EXIT_OK
-    try:
-        if args.verb == "enroll":
-            output, code = cmd_server_enroll(
-                args.dir, tags=args.tags, shard_size=args.shard_size,
-                seed=args.seed, curve=args.curve, workers=args.workers,
-                chaos=args.chaos, chaos_seed=args.chaos_seed,
-            )
-        elif args.verb == "soak":
-            output, code = cmd_server_soak(
-                args.dir, _server_soak_spec(args), workers=args.workers,
-                chaos=args.chaos, chaos_seed=args.chaos_seed,
-                min_acceptance=args.min_acceptance,
-                obs=args.obs, obs_profile=args.obs_profile,
-            )
-        else:
-            output, code = cmd_server_run(
-                _server_soak_spec(args),
-                metrics_port=args.metrics_port,
-                serve_seconds=args.serve_seconds, quiet=args.quiet,
-            )
-    except KeyboardInterrupt:
-        print("\ninterrupted — enrollment shards and finished cohorts "
-              "are cached; rerunning the same command resumes",
-              file=sys.stderr)
-        return EXIT_INTERRUPTED
-    except (ServerError, ValueError, KeyError) as exc:
-        print(f"server error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    _print(output)
-    return code
-
-
-def _attack_main(args) -> int:
-    """Dispatch an ``attack`` verb under the exit-code contract."""
-    from .adversary import AdversaryError
-
-    code = EXIT_OK
-    try:
-        if args.verb == "run":
-            output = cmd_attack_run(
-                adversary=args.adversary, defenses=args.defenses,
-                sessions=args.sessions, seed=args.seed, loss=args.loss,
-                curve=args.curve, distance=args.distance,
-            )
-        else:
-            output, code = cmd_attack_soak(
-                args.dir, _attack_spec_from_args(args),
-                workers=args.workers, chaos=args.chaos,
-                chaos_seed=args.chaos_seed,
-                min_legit_success=args.min_legit_success,
-                obs=args.obs, obs_profile=args.obs_profile,
-            )
-    except KeyboardInterrupt:
-        print("\ninterrupted — the flood is deterministic; rerunning "
-              "the same command reproduces it from scratch",
-              file=sys.stderr)
-        return EXIT_INTERRUPTED
-    except (AdversaryError, ValueError, KeyError) as exc:
-        print(f"attack error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    _print(output)
-    return code
-
-
-def _power_main(args) -> int:
-    """Dispatch a ``power`` verb under the exit-code contract."""
-    from .intermittent import IntermittentError
-
-    code = EXIT_OK
-    try:
-        if args.verb == "run":
-            output = cmd_power_run(
-                curve=args.curve, seed=args.seed, session=args.session,
-                cuts=args.cuts, on_cycles=args.on_cycles,
-                interval=args.interval, schedules=args.schedules,
-                attack=not args.no_attack,
-            )
-        else:
-            output, code = cmd_power_soak(
-                args.dir, _power_soak_spec_from_args(args),
-                workers=args.workers, min_completed=args.min_completed,
-                obs=args.obs, obs_profile=args.obs_profile,
-            )
-    except KeyboardInterrupt:
-        print("\ninterrupted — the soak is deterministic; rerunning "
-              "the same command reproduces it from scratch",
-              file=sys.stderr)
-        return EXIT_INTERRUPTED
-    except (IntermittentError, ValueError, KeyError) as exc:
-        print(f"power error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    _print(output)
-    return code
-
-
-def _dse_main(args, argv) -> int:
-    """Dispatch a ``dse`` verb under the exit-code contract."""
-    from .dse import DseError
-
-    code = EXIT_OK
-    try:
-        if args.verb == "explore":
-            output, code = cmd_dse_explore(
-                args.dir, _dse_spec_from_args(args),
-                workers=args.workers, quiet=args.quiet,
-                shard_timeout=args.shard_timeout,
-                max_attempts=args.max_attempts,
-                obs=args.obs, obs_profile=args.obs_profile,
-            )
-        elif args.verb == "pareto":
-            objectives = None
-            if args.objectives:
-                objectives = [s for s in args.objectives.split(",") if s]
-            output, code = cmd_dse_pareto(
-                args.dir, objectives=objectives,
-                max_latency_ms=args.max_latency_ms,
-                max_area_ge=args.max_area_ge,
-                min_security=args.min_security,
-                as_json=args.json,
-            )
-        else:
-            output, code = cmd_dse_report(args.dir, as_json=args.json)
-    except KeyboardInterrupt:
-        resume = " ".join(argv) if argv else "<the same command>"
-        print(
-            "\ninterrupted — completed measurements are cached; "
-            f"resume with: python -m repro {resume}",
-            file=sys.stderr,
-        )
-        return EXIT_INTERRUPTED
-    except DseError as exc:
-        print(f"dse error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    _print(output)
-    return code
-
-
-def _campaign_main(args, argv) -> int:
-    """Dispatch a ``campaign`` verb under the exit-code contract."""
-    from .campaign import CampaignError
-
-    code = EXIT_OK
-    try:
-        if args.verb == "acquire":
-            chaos_shards = None
-            if args.chaos_shards:
-                chaos_shards = [int(s) for s in
-                                args.chaos_shards.split(",") if s]
-            output, code = cmd_campaign_acquire(
-                args.dir, _campaign_spec_from_args(args),
-                workers=args.workers, quiet=args.quiet,
-                shard_timeout=args.shard_timeout,
-                max_attempts=args.max_attempts,
-                chaos=args.chaos, chaos_seed=args.chaos_seed,
-                chaos_shards=chaos_shards,
-                obs=args.obs, obs_profile=args.obs_profile,
-            )
-        elif args.verb == "status":
-            output = cmd_campaign_status(args.dir)
-        elif args.verb == "doctor":
-            output = cmd_campaign_doctor(args.dir, clear=args.clear,
-                                         last=args.last)
-        else:
-            grid = None
-            if args.grid:
-                grid = [int(g) for g in args.grid.split(",") if g]
-            output = cmd_campaign_attack(args.dir, attack=args.attack,
-                                         bits=args.bits, grid=grid,
-                                         verify=args.verify,
-                                         allow_partial=args.allow_partial)
-    except KeyboardInterrupt:
-        resume = " ".join(argv) if argv else "<the same command>"
-        print(
-            "\ninterrupted — progress up to the last completed shard is "
-            "checkpointed in the manifest;\n"
-            f"resume with: python -m repro {resume}",
-            file=sys.stderr,
-        )
-        return EXIT_INTERRUPTED
-    except CampaignError as exc:
-        print(f"campaign error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    _print(output)
-    return code

@@ -18,12 +18,6 @@ from .evaluation import (
     reference_config,
     reference_model,
 )
-from .export import (
-    iteration_profile,
-    load_traceset,
-    save_traceset,
-    trace_to_csv,
-)
 from .models import (
     ChannelWeights,
     CmosLeakageModel,
@@ -44,10 +38,6 @@ from .technology import (
 
 __all__ = [
     "EnergyModel",
-    "save_traceset",
-    "load_traceset",
-    "trace_to_csv",
-    "iteration_profile",
     "EnergyReport",
     "calibrate_energy_model",
     "energy_per_toggle_for_activity",
