@@ -4,8 +4,8 @@ Each soak promises output that is a pure function of its spec.  These
 tests pin that output as sha256 digests, so a refactor of the shared
 supervision, fan-out or telemetry plumbing that moves a single byte of
 ``summary.json``, ``telemetry.json``, ``alerts.json`` or a report's
-summary payload, or a line of a soak report's text, fails here,
-whatever the worker count.
+summary payload, or a line of a soak report's or ``campaign status``'s
+text, fails here, whatever the worker count.
 """
 
 import hashlib
@@ -14,6 +14,10 @@ import json
 import pytest
 
 from repro.adversary import AttackSpec, run_attack_soak
+from repro.campaign import (TRANSIENT, AcquisitionEngine, CampaignSpec,
+                            ChaosConfig)
+from repro.campaign.supervisor import FailureEvent, FailureLog, RetryPolicy
+from repro.cli import cmd_campaign_status
 from repro.obs.alerts import ALERTS_NAME
 from repro.obs.stream import TELEMETRY_NAME
 from repro.protocols import AmortizedSpec, run_amortized_soak
@@ -52,6 +56,12 @@ FLEET_DIGEST = \
     "ba5afdf24e02740e55a2dd3ff6075024897bb010e38607751c97a385a0d87fbf"
 AMORTIZED_DIGEST = \
     "0989cf0fcc5e7412f53ea2b0f18637becd3987b22490e087b0695b90f57cead8"
+AMORTIZED_TEXT_DIGEST = \
+    "7bdb21e5c63e993e9bf14502339d7cc9a2fb403abe68a92359419f53a40c1d15"
+POWER_TEXT_DIGEST = \
+    "19a7850a7d407de28e572f7ba6e8e5c4fa811057cca08b6aaa79074cb74bf3b7"
+CAMPAIGN_STATUS_DIGEST = \
+    "5ad9c4ca2536dd4aacf4e9605514250cfaae0ec37da1b7fce444868b26f46a5c"
 
 
 def _sha256(data: bytes) -> str:
@@ -129,3 +139,36 @@ def test_amortized_report_is_pinned(workers):
     payload = {"points": [p.digest() for p in report.points],
                "summary": report.summary_payload()}
     assert _json_digest(payload) == AMORTIZED_DIGEST
+
+
+def test_amortized_summary_text_is_pinned():
+    spec = AmortizedSpec(curve="TOY-B17", seed=17, epoch_messages=4,
+                         messages=16, sessions=3, sweep=(0.0, 0.1, 0.2))
+    report = run_amortized_soak(spec, workers=0)
+    assert _sha256(report.summary().encode()) == AMORTIZED_TEXT_DIGEST
+
+
+def test_power_soak_summary_text_is_pinned():
+    report = run_power_soak(PowerSoakSpec(sessions=4, seed=17), workers=0)
+    assert _sha256(report.summary().encode()) == POWER_TEXT_DIGEST
+
+
+def test_campaign_status_text_is_pinned(tmp_path):
+    """``campaign status`` on a degraded store: one shard quarantined
+    by a permanent injected error, plus a logged transient retry.  The
+    directory and the wall-clock line are masked."""
+    directory = str(tmp_path / "campaign")
+    spec = CampaignSpec(n_traces=6, shard_size=2, scenario="unprotected",
+                        max_iterations=2, seed=7)
+    policy = RetryPolicy(max_attempts=2, deterministic_attempts=2,
+                         base_delay=0.0, jitter=0.0)
+    chaos = ChaosConfig(seed=1, error_rate=1.0, only_shards=(1,))
+    AcquisitionEngine(directory, spec, workers=1, retry_policy=policy,
+                      chaos=chaos).run()
+    FailureLog(directory).append(FailureEvent(
+        shard_index=2, attempt=0, kind=TRANSIENT, reason="synthetic",
+        action="retry"))
+    text = cmd_campaign_status(directory).replace(directory, "<dir>")
+    lines = [line for line in text.splitlines()
+             if not line.startswith("  acquisition wall: ")]
+    assert _sha256("\n".join(lines).encode()) == CAMPAIGN_STATUS_DIGEST
