@@ -593,8 +593,6 @@ def run_intermittent_session(
                 child.set(uj=result.checkpoint_uj,
                           commits=result.checkpoints_committed,
                           torn=result.torn_discards)
-    from ..obs.integration import record_intermittent_result
-
     record_intermittent_result(rt.registry, result)
     if result.abort_reason:
         # The session died for good (power-cycle budget exhausted):
@@ -605,3 +603,39 @@ def run_intermittent_session(
                        abort_reason=result.abort_reason,
                        power_cycles=result.power_cycles)
     return result
+
+
+def record_intermittent_result(registry, result) -> None:
+    """Fold one IntermittentResult (or a soak's
+    :class:`~repro.protocols.fleet.PowerSessionRecord`) into
+    ``registry``; a soak calls this once per session."""
+    if result.accepted:
+        outcome = "accepted"
+    elif result.completed:
+        outcome = "rejected"
+    else:
+        outcome = "aborted"
+    registry.counter("repro_intermittent_sessions_total",
+                     "intermittent sessions by outcome").inc(outcome=outcome)
+    registry.counter("repro_intermittent_power_cycles_total",
+                     "power cuts survived").inc(result.power_cycles)
+    registry.counter("repro_intermittent_checkpoints_total",
+                     "committed checkpoints").inc(result.checkpoints_committed)
+    registry.counter("repro_intermittent_torn_discards_total",
+                     "torn staged records discarded at power-on"
+                     ).inc(result.torn_discards)
+    steps = registry.counter("repro_intermittent_ladder_steps_total",
+                             "ladder steps by productivity")
+    steps.inc(result.steps_executed - result.steps_wasted, kind="productive")
+    if result.steps_wasted:
+        steps.inc(result.steps_wasted, kind="wasted")
+    energy = registry.counter("repro_intermittent_energy_uj_total",
+                              "microjoules spent, by component")
+    energy.inc(result.compute_uj, component="compute")
+    energy.inc(result.radio_uj, component="radio")
+    energy.inc(result.checkpoint_uj, component="checkpoint")
+    registry.histogram(
+        "repro_intermittent_session_uj",
+        "total microjoules per session",
+        buckets=(1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0),
+    ).observe(result.total_uj)

@@ -22,9 +22,11 @@ reproduction.  Three pillars, one API:
 Nothing here depends on anything outside the stdlib; the rest of the
 package depends on it (guarded, so tracing off costs one global
 read).  :mod:`.runtime` owns the on/off switch and worker
-propagation, :mod:`.report` reads a finished run back, and
-:mod:`.integration` is the single aggregation path behind ``campaign
-status`` and ``protocol soak``.
+propagation and :mod:`.report` reads a finished run back.  Each
+subsystem folds its own results into the registry next to the type it
+folds, and each report renders its table from that type's own
+properties, so a figure is computed once; :mod:`.integration` keeps
+only the fleet-spec fingerprint and a snapshot lookup.
 """
 
 from .alerts import (

@@ -39,7 +39,7 @@ session_index)``:
 Fan-out (:func:`run_amortized_soak`) follows the fleet discipline:
 embarrassingly parallel sessions, records keyed and sorted, a
 :meth:`~AmortizedReport.summary_payload` of worker-invariant facts
-only, and a summary table rendered from the metrics read-back path.
+only, and a summary table rendered from the sweep points' properties.
 """
 
 from __future__ import annotations
@@ -126,6 +126,8 @@ class AmortizedSpec:
         for loss in self.sweep:
             if not 0.0 <= loss < 1.0:
                 raise ValueError(f"loss rate {loss} outside [0, 1)")
+        if len(set(self.sweep)) != len(self.sweep):
+            raise ValueError(f"duplicate loss rate in sweep {self.sweep}")
 
     # -- score_design session-posture protocol -------------------------
 
@@ -460,6 +462,21 @@ class AmortizedPoint:
         return self.delivered / self.messages if self.messages else 0.0
 
     @property
+    def keys_used(self) -> int:
+        return sum(r.keys_used for r in self.records)
+
+    @property
+    def handshake_uj(self) -> float:
+        return sum(r.handshake_uj for r in self.records)
+
+    @property
+    def message_uj(self) -> float:
+        """Engine + radio bill of every data frame, retries included —
+        the part both designs pay identically."""
+        return sum(r.message_compute_uj + r.message_radio_uj
+                   for r in self.records)
+
+    @property
     def total_uj(self) -> float:
         return sum(r.total_uj for r in self.records)
 
@@ -473,19 +490,18 @@ class AmortizedPoint:
     @property
     def mean_handshake_uj(self) -> float:
         """Mean cost of one successful handshake (= one session key)."""
-        keys = sum(r.keys_used for r in self.records)
+        keys = self.keys_used
         if not keys:
             return float("inf")
-        return sum(r.handshake_uj for r in self.records) / keys
+        return self.handshake_uj / keys
 
     @property
     def mean_message_only_uj(self) -> float:
         """Per-delivered-message engine + radio bill, handshakes
-        excluded — the part both designs pay identically."""
+        excluded."""
         if not self.delivered:
             return float("inf")
-        return sum(r.message_compute_uj + r.message_radio_uj
-                   for r in self.records) / self.delivered
+        return self.message_uj / self.delivered
 
     @property
     def extension_factor(self) -> float:
@@ -494,14 +510,17 @@ class AmortizedPoint:
         The pure-ECC baseline pays one full handshake *plus* the data
         frame for every message; the amortized design pays the same
         data frame but only ``1/epoch`` of the handshake.  >1 means
-        the epoch paid off.
+        the epoch paid off.  The ratio of the two per-message bills,
+        ``(H/keys + M/delivered) / ((H + M)/delivered)``, is computed
+        as ``(H * (delivered/keys) + M) / (H + M)`` so that it is
+        exactly 1.0 whenever every key carried one delivered message.
         """
-        amortized = self.mean_uj_per_message
-        baseline = self.mean_handshake_uj + self.mean_message_only_uj
-        if amortized in (0.0, float("inf")) \
-                or baseline == float("inf"):
+        keys, delivered = self.keys_used, self.delivered
+        handshake, message = self.handshake_uj, self.message_uj
+        if not keys or not delivered or not handshake + message:
             return 0.0
-        return baseline / amortized
+        return ((handshake * (delivered / keys) + message)
+                / (handshake + message))
 
     def lifetime_years(self, spec: AmortizedSpec,
                        budget=None) -> float:
@@ -558,7 +577,7 @@ class AmortizedReport:
                     "frame_loss": p.frame_loss,
                     "delivered": p.delivered,
                     "messages": p.messages,
-                    "keys_used": sum(r.keys_used for r in p.records),
+                    "keys_used": p.keys_used,
                     "transcripts": {
                         str(r.session_index): r.transcript_digest
                         for r in sorted(p.records,
@@ -572,15 +591,8 @@ class AmortizedReport:
         }
 
     def summary(self) -> str:
-        """Render the sweep table from the obs metrics snapshot (the
-        read-back discipline of :meth:`FleetReport.summary`)."""
-        from ..obs.integration import amortized_point_stats, \
-            record_amortized_report
-        from ..obs.metrics import MetricRegistry
-
+        """Render the sweep table from the sweep points' properties."""
         spec = self.spec
-        snapshot = record_amortized_report(MetricRegistry(),
-                                           self).snapshot()
         lines = [
             f"{spec.protocol} + {spec.backend} on {spec.curve}: "
             f"{spec.sessions} sessions x {spec.messages} messages, "
@@ -590,21 +602,19 @@ class AmortizedReport:
         ]
         degraded = []
         for p in sorted(self.points, key=lambda p: p.frame_loss):
-            stats = amortized_point_stats(snapshot, p.frame_loss)
             lines.append(
                 f"{p.frame_loss:>6.0%} "
-                f"{stats['delivery_rate']:>8.2%} "
-                f"{stats['keys_used']:>5d} "
-                f"{stats['handshake_uj']:>9.2f} "
-                f"{stats['message_uj']:>9.2f} "
-                f"{stats['uj_per_message']:>9.4f} "
-                f"{stats['extension_factor']:>6.1f} "
+                f"{p.delivery_rate:>8.2%} "
+                f"{p.keys_used:>5d} "
+                f"{p.handshake_uj:>9.2f} "
+                f"{p.message_uj:>9.2f} "
+                f"{p.mean_uj_per_message:>9.4f} "
+                f"{p.extension_factor:>6.1f} "
                 f"{p.lifetime_years(spec):>8.1f}"
             )
-            if stats["delivery_rate"] < 1.0:
+            if p.delivery_rate < 1.0:
                 degraded.append(
-                    f"{stats['delivered']}/{stats['messages']} "
-                    f"at {p.frame_loss:.0%}")
+                    f"{p.delivered}/{p.messages} at {p.frame_loss:.0%}")
         verdict = ["delivery: " + (
             "100% at every loss rate" if not degraded else
             "DEGRADED — " + ", ".join(degraded))]
@@ -616,6 +626,59 @@ class AmortizedReport:
             f"forward-secrecy window: at most {spec.epoch_messages} "
             f"messages per captured key")
         return "\n".join(lines + verdict)
+
+
+def record_amortized_report(registry, report: AmortizedReport) -> None:
+    """Fold an AmortizedReport's sweep points into ``registry``.
+
+    The energy counter's ``component`` label is the exact µJ
+    decomposition the obs spans carry (``handshake`` /
+    ``message_compute`` / ``message_radio``), so the exported metrics
+    and the span tree sum to the same total.
+    """
+    sessions = registry.counter("repro_backends_sessions_total",
+                                "amortized sessions by sweep point")
+    messages = registry.counter("repro_backends_messages_total",
+                                "messages by sweep point and outcome")
+    handshakes = registry.counter("repro_backends_handshakes_total",
+                                  "asymmetric handshakes by outcome")
+    attempts = registry.counter("repro_backends_attempts_total",
+                                "data-frame transmissions, retries "
+                                "included")
+    energy = registry.counter("repro_backends_energy_uj_total",
+                              "microjoules spent, by component")
+    window = registry.gauge("repro_backends_key_window_messages",
+                            "worst-case messages under one session "
+                            "key")
+    delivery = registry.gauge("repro_backends_delivery_rate",
+                              "fraction of messages delivered")
+    for point in sorted(report.points, key=lambda p: p.frame_loss):
+        loss = f"{point.frame_loss:g}"
+        worst = 0
+        for record in point.records:
+            sessions.inc(loss=loss)
+            if record.delivered:
+                messages.inc(record.delivered, loss=loss,
+                             outcome="delivered")
+            if record.failed:
+                messages.inc(record.failed, loss=loss,
+                             outcome="failed")
+            if record.keys_used:
+                handshakes.inc(record.keys_used, loss=loss,
+                               outcome="keyed")
+            if record.handshakes_failed:
+                handshakes.inc(record.handshakes_failed, loss=loss,
+                               outcome="failed")
+            attempts.inc(record.attempts, loss=loss)
+            energy.inc(record.handshake_uj, loss=loss,
+                       component="handshake")
+            energy.inc(record.message_compute_uj, loss=loss,
+                       component="message_compute")
+            energy.inc(record.message_radio_uj, loss=loss,
+                       component="message_radio")
+            worst = max(worst, record.worst_key_window)
+        window.set(worst, loss=loss)
+        delivery.set(point.delivery_rate, loss=loss)
 
 
 def _run_amortized_slice(spec: AmortizedSpec, frame_loss: float,
@@ -636,8 +699,6 @@ def run_amortized_soak(spec: AmortizedSpec,
     records are keyed and sorted, and the report cannot depend on
     worker count or scheduling.
     """
-    from ..obs.integration import record_amortized_report
-
     rt = _obs_runtime.current()
     with contextlib.ExitStack() as stack:
         soak_span = None

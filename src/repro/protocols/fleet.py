@@ -80,6 +80,8 @@ class FleetSpec:
         for loss in self.sweep:
             if not 0.0 <= loss < 1.0:
                 raise ValueError(f"loss rate {loss} outside [0, 1)")
+        if len(set(self.sweep)) != len(self.sweep):
+            raise ValueError(f"duplicate loss rate in sweep {self.sweep}")
 
     def profile(self, frame_loss: float) -> LossProfile:
         """The channel at one sweep point, BER tied to the distance."""
@@ -201,21 +203,9 @@ class FleetReport:
         return all(b > a for a, b in zip(means, means[1:]))
 
     def summary(self) -> str:
-        """Render the sweep table from the obs metrics snapshot.
-
-        Every figure here is read back out of a
-        :class:`~repro.obs.metrics.MetricRegistry` snapshot produced
-        by :func:`repro.obs.integration.record_fleet_report` — the
-        same aggregation path a live campaign exports — so the
-        rendered table can never drift from the exported metrics.
-        """
-        from ..energy.budget import PACEMAKER_BUDGET
-        from ..obs.integration import fleet_point_stats, \
-            record_fleet_report
-        from ..obs.metrics import MetricRegistry
-
+        """Render the sweep table from the sweep points' properties,
+        the figures the verdicts and the ``soak.point`` events read."""
         spec = self.spec
-        snapshot = record_fleet_report(MetricRegistry(), self).snapshot()
         lines = [
             f"protocol {spec.protocol} on {spec.curve}, "
             f"{spec.sessions} sessions per point, seed {spec.seed}, "
@@ -224,37 +214,66 @@ class FleetReport:
             f"{'retx':>6} {'uJ/session':>11} {'life(y)':>8}",
         ]
         degraded = []
-        means = []
         for point in sorted(self.points, key=lambda p: p.frame_loss):
-            stats = fleet_point_stats(snapshot, point.frame_loss)
-            mean_j = stats["mean_initiator_uj"] * 1e-6
-            lifetime = (PACEMAKER_BUDGET.lifetime_years_at(
-                spec.operations_per_day, mean_j)
-                if mean_j > 0 else float("inf"))
             lines.append(
                 f"{point.frame_loss:>6.0%} "
-                f"{stats['availability']:>8.2%} "
-                f"{stats['mean_epochs']:>7.2f} "
-                f"{stats['mean_frames']:>7.2f} "
-                f"{stats['retransmissions']:>6d} "
-                f"{stats['mean_initiator_uj']:>11.2f} "
-                f"{lifetime:>8.1f}"
+                f"{point.availability:>8.2%} "
+                f"{point.mean_epochs:>7.2f} "
+                f"{point.mean_frames:>7.2f} "
+                f"{point.total_retransmissions:>6d} "
+                f"{point.mean_initiator_uj:>11.2f} "
+                f"{point.lifetime_years(spec):>8.1f}"
             )
-            means.append(stats["mean_initiator_uj"])
-            if stats["availability"] < 1.0:
-                degraded.append(
-                    f"{stats['accepted']}/{stats['sessions']} "
-                    f"at {point.frame_loss:.0%}"
-                )
+            if point.availability < 1.0:
+                degraded.append(f"{point.successes}/{point.sessions} "
+                                f"at {point.frame_loss:.0%}")
         verdict = []
         verdict.append("availability: " + (
             "100% at every loss rate" if not degraded else
             "DEGRADED — " + ", ".join(degraded)))
-        monotone = all(b > a for a, b in zip(means, means[1:]))
         verdict.append("energy vs loss: " + (
             "strictly increasing (reliability is paid in uJ)"
-            if monotone else "NOT monotone"))
+            if self.energy_monotone else "NOT monotone"))
         return "\n".join(lines + verdict)
+
+
+def record_fleet_report(registry, report: FleetReport) -> None:
+    """Fold every sweep point's session records into ``registry``."""
+    sessions = registry.counter("repro_fleet_sessions_total",
+                                "sessions by sweep point and outcome")
+    epochs = registry.counter("repro_fleet_epochs_total",
+                              "protocol epochs consumed")
+    frames = registry.counter("repro_fleet_frames_total",
+                              "frames transmitted")
+    retx = registry.counter("repro_fleet_retransmissions_total",
+                            "frames beyond the lossless three")
+    rejections = registry.counter("repro_fleet_rejections_total",
+                                  "receiver-side frame rejections")
+    energy = registry.counter("repro_fleet_energy_uj_total",
+                              "microjoules spent, by role")
+    availability = registry.gauge("repro_fleet_availability",
+                                  "fraction of sessions that identified")
+    for point in sorted(report.points, key=lambda p: p.frame_loss):
+        loss = f"{point.frame_loss:g}"
+        for record in point.records:
+            if record.accepted:
+                outcome = "accepted"
+            elif record.completed:
+                outcome = "rejected"
+            else:
+                outcome = "aborted"
+            sessions.inc(loss=loss, outcome=outcome)
+            epochs.inc(record.epochs_used, loss=loss)
+            frames.inc(record.frames_sent, loss=loss)
+            retx.inc(record.retransmissions, loss=loss)
+            for kind, count in (("corrupt", record.corrupt_rejections),
+                                ("stale", record.stale_rejections),
+                                ("replay", record.replay_rejections)):
+                if count:
+                    rejections.inc(count, loss=loss, kind=kind)
+            energy.inc(record.initiator_uj, loss=loss, role="initiator")
+            energy.inc(record.responder_uj, loss=loss, role="responder")
+        availability.set(point.availability, loss=loss)
 
 
 def _run_slice(spec: FleetSpec, frame_loss: float,
@@ -365,8 +384,8 @@ class PowerSessionRecord:
 
     Field names match :class:`~repro.intermittent.IntermittentResult`
     where they overlap, so
-    :func:`~repro.obs.integration.record_intermittent_result` folds
-    either shape into the registry.
+    :func:`~repro.intermittent.engine.record_intermittent_result`
+    folds either shape into the registry.
     """
 
     session_index: int
@@ -429,6 +448,22 @@ class PowerSoakReport:
     @property
     def total_nonce_reuse(self) -> int:
         return sum(r.nonce_reuse for r in self.records)
+
+    @property
+    def total_steps_executed(self) -> int:
+        return sum(r.steps_executed for r in self.records)
+
+    @property
+    def total_steps_wasted(self) -> int:
+        return sum(r.steps_wasted for r in self.records)
+
+    @property
+    def total_uj(self) -> float:
+        return sum(r.total_uj for r in self.records)
+
+    @property
+    def total_checkpoint_uj(self) -> float:
+        return sum(r.checkpoint_uj for r in self.records)
 
     def telemetry_events(self) -> List[dict]:
         """Ordered telemetry: one event per session on the ordinal
@@ -496,27 +531,8 @@ class PowerSoakReport:
         }
 
     def summary(self) -> str:
-        """Render the soak table from the obs metrics snapshot (the
-        same read-back discipline as :meth:`FleetReport.summary`)."""
-        from ..obs.integration import record_intermittent_result, \
-            snapshot_histogram, snapshot_value
-        from ..obs.metrics import MetricRegistry
-
-        registry = MetricRegistry()
-        for record in self.records:
-            record_intermittent_result(registry, record)
-        snapshot = registry.snapshot()
+        """Render the soak table from the report's properties."""
         sessions = self.sessions
-        uj = snapshot_histogram(snapshot, "repro_intermittent_session_uj")
-        ckpt_uj = snapshot_value(snapshot,
-                                 "repro_intermittent_energy_uj_total",
-                                 component="checkpoint")
-        wasted = snapshot_value(snapshot,
-                                "repro_intermittent_ladder_steps_total",
-                                kind="wasted")
-        productive = snapshot_value(snapshot,
-                                    "repro_intermittent_ladder_steps_total",
-                                    kind="productive")
         lines = [
             f"power soak on {self.spec.curve}: {sessions} sessions, "
             f"seed {self.spec.seed}, cut seed {self.spec.cut_seed}, "
@@ -529,12 +545,13 @@ class PowerSoakReport:
             f"  nonce reuse on the wire: {self.total_nonce_reuse} "
             + ("(invariant held)" if self.total_nonce_reuse == 0
                else "(INVARIANT BROKEN — alert fired)"),
-            f"  ladder steps: {int(productive)} productive, "
-            f"{int(wasted)} re-executed after cuts",
-            f"  energy: {uj['sum']:.1f} uJ total "
-            f"({ckpt_uj:.1f} uJ on checkpoints), "
-            f"worst session {uj['max']:.1f} uJ" if uj["count"] else
-            "  energy: none recorded",
+            f"  ladder steps: "
+            f"{self.total_steps_executed - self.total_steps_wasted} "
+            f"productive, {self.total_steps_wasted} re-executed after cuts",
+            f"  energy: {self.total_uj:.1f} uJ total "
+            f"({self.total_checkpoint_uj:.1f} uJ on checkpoints), "
+            f"worst session {max(r.total_uj for r in self.records):.1f} uJ"
+            if self.records else "  energy: none recorded",
             f"  outcome digest: {self.outcome_digest()[:16]}",
         ]
         verdict = ("every session completed or aborted typed-clean"
@@ -621,7 +638,7 @@ def run_power_soak(spec: PowerSoakSpec, workers: Optional[int] = None,
     embarrassingly parallel, records are keyed and sorted, and the
     report cannot depend on worker count or scheduling.
     """
-    from ..obs.integration import record_intermittent_result
+    from ..intermittent.engine import record_intermittent_result
 
     rt = _obs_runtime.current()
     with contextlib.ExitStack() as stack:
@@ -654,7 +671,7 @@ def run_fleet(spec: FleetSpec, workers: Optional[int] = None,
     otherwise defaults to ``min(cpu, 8)`` like the campaign runner.
     ``progress`` is an optional callable ``(done, total)``.
     """
-    from ..obs.integration import fleet_spec_digest, record_fleet_report
+    from ..obs.integration import fleet_spec_digest
 
     rt = _obs_runtime.current()
     with contextlib.ExitStack() as stack:

@@ -272,6 +272,12 @@ class TestProtocolVerbs:
                      "--min-availability", "0.99"])
         assert code == 1
 
+    def test_soak_duplicate_loss_rate_fails_cleanly(self, capsys):
+        assert main(["protocol", "soak", "--sweep", "0.1,0.1",
+                     "--workers", "0", "--quiet"]) == 1
+        assert "protocol error: duplicate loss rate" in \
+            capsys.readouterr().err
+
     def test_unknown_curve_fails_cleanly(self, capsys):
         assert main(["protocol", "run", "--curve", "Q-999",
                      "--sessions", "1"]) == 1

@@ -36,6 +36,12 @@ class TestSpec:
         with pytest.raises(ValueError):
             AmortizedSpec(sweep=(1.0,))
 
+    def test_duplicate_loss_rate_rejected(self):
+        # Duplicate points would merge in the fan-out and count every
+        # session twice.
+        with pytest.raises(ValueError, match="duplicate loss rate"):
+            AmortizedSpec(sessions=3, sweep=(0.1, 0.1))
+
     def test_score_design_posture_duck_typing(self):
         # The spec *is* a session posture: a finite epoch and the
         # Peeters-Hermans private handshake.
@@ -104,6 +110,18 @@ class TestSoak:
         # message delivers on its session key.
         assert point.extension_factor == pytest.approx(1.0, abs=0.05)
 
+    def test_epoch_one_extension_is_exactly_one(self):
+        # One key per delivered message: the design *is* the baseline,
+        # so the extension is exactly 1.0 and the verdict says so.
+        spec = AmortizedSpec(epoch_messages=1, messages=16, sessions=3,
+                             seed=17, sweep=(0.1,))
+        report = run_amortized_soak(spec, workers=0)
+        point = report.points[0]
+        assert point.keys_used == point.delivered
+        assert point.extension_factor == 1.0
+        assert report.amortization_pays is False
+        assert "DOES NOT PAY" in report.summary()
+
     def test_amortization_pays_at_larger_epochs(self):
         report = run_amortized_soak(SPEC, workers=0)
         assert report.fully_delivered or report.min_delivery_rate > 0.9
@@ -152,7 +170,7 @@ class TestObservability:
 
 class TestMetricsReadback:
     def test_soak_records_the_registry(self, tmp_path):
-        from repro.obs.integration import amortized_point_stats
+        from repro.obs.integration import snapshot_value
 
         obs_dir = os.path.join(str(tmp_path),
                                obs_runtime.OBS_DIRNAME)
@@ -161,12 +179,25 @@ class TestMetricsReadback:
             report = run_amortized_soak(SPEC, workers=0)
             snapshot = rt.registry.snapshot()
         for point in report.points:
-            stats = amortized_point_stats(snapshot, point.frame_loss)
-            assert stats["delivered"] == point.delivered
-            assert stats["uj_per_message"] == pytest.approx(
-                point.mean_uj_per_message, rel=1e-6)
-            assert stats["extension_factor"] == pytest.approx(
-                point.extension_factor, rel=1e-6)
+            loss = f"{point.frame_loss:g}"
+            assert snapshot_value(
+                snapshot, "repro_backends_messages_total", loss=loss,
+                outcome="delivered") == point.delivered
+            assert snapshot_value(
+                snapshot, "repro_backends_handshakes_total", loss=loss,
+                outcome="keyed") == point.keys_used
+            assert snapshot_value(
+                snapshot, "repro_backends_energy_uj_total", loss=loss,
+                component="handshake") == pytest.approx(
+                    point.handshake_uj, rel=1e-9)
+            message_uj = sum(
+                snapshot_value(snapshot, "repro_backends_energy_uj_total",
+                               loss=loss, component=component)
+                for component in ("message_compute", "message_radio"))
+            assert message_uj == pytest.approx(point.message_uj, rel=1e-9)
+            assert snapshot_value(
+                snapshot, "repro_backends_delivery_rate",
+                loss=loss) == point.delivery_rate
         assert "summary" in dir(report)
         text = report.summary()
         assert "forward-secrecy window" in text

@@ -187,6 +187,14 @@ class TestPolicyValidation:
             make_adapter("schnorr", None)
 
 
+class TestFleetSpec:
+    def test_duplicate_loss_rate_rejected(self):
+        # Duplicate points would merge in the fan-out and count every
+        # session twice.
+        with pytest.raises(ValueError, match="duplicate loss rate"):
+            FleetSpec(sessions=3, sweep=(0.1, 0.1))
+
+
 class TestEnergyAccounting:
     def test_retries_cost_microjoules(self):
         """The same session under loss costs strictly more tag energy."""
